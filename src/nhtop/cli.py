@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
+from typing import Mapping
 
 import numpy as np
 
@@ -56,48 +56,36 @@ def _add_output_flags(p: argparse.ArgumentParser):
                    help="prepend plot-ready comment lines")
 
 
-def _resolve_model(args) -> tuple[str, int, dict]:
-    """Merge JSON config (if any), per-model defaults, and explicit flags."""
-    base_model, base_n, base_params = None, None, {}
-    if args.config is not None:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        if not isinstance(data, dict):
-            raise SpecificationError("config must be a JSON object")
-        if data.get("model") == "custom":
-            raise SpecificationError("custom networks are only supported by 'model'/'spectrum'")
-        base_model = data.get("model")
-        base_n = data.get("N")
-        base_params = dict(data.get("params", {}))
-        extra = set(data) - {"model", "N", "params", "custom"}
-        if extra:
-            raise SpecificationError(f"unknown config keys: {sorted(extra)}")
+def _read_config(args) -> Mapping:
+    """The checked ``--config`` document (empty without one); the file is read once."""
+    if args.config is None:
+        return {}
+    with open(args.config, "r", encoding="utf-8") as fh:
+        return netmodel.check_config(json.load(fh))
 
-    model = args.model or base_model or "ssh"
-    if model not in MODEL_DEFAULTS:
-        raise SpecificationError(f"unknown model {model!r}")
+
+def _resolve_model(args, config: Mapping) -> tuple[str, int, dict]:
+    """Merge per-model defaults, then the config document, then explicit flags."""
+    if config.get("model") == "custom":
+        raise SpecificationError(
+            "custom networks are only supported by 'model', 'spectrum' and 'coherence'")
+    model = args.model or config.get("model", "ssh")
     defaults = MODEL_DEFAULTS[model]
-    n = args.N if args.N is not None else (base_n if base_n is not None else defaults["N"])
+    n = args.N if args.N is not None else config.get("N", defaults["N"])
     params = {k: v for k, v in defaults.items() if k != "N"}
-    for key, value in base_params.items():
-        if key not in params:
-            raise SpecificationError(f"parameter {key!r} not valid for model {model!r}")
-        params[key] = float(value)
+    params.update(config.get("params", {}))
     for flag, pname in _FLAG_TO_PARAM.items():
         value = getattr(args, flag, None)
-        if value is not None and pname in params:
+        if value is not None and pname in defaults:
             params[pname] = value
-    return model, int(n), params
+    return model, n, netmodel.model_params(model, params)
 
 
 def _build_from_args(args) -> netmodel.EffectiveHamiltonian:
-    if args.config is not None:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        if isinstance(data, dict) and data.get("model") == "custom":
-            return netmodel.parse_network_json(data)
-    model, n, params = _resolve_model(args)
-    return netmodel.build_model(model, n, params)
+    config = _read_config(args)
+    if config.get("model") == "custom":
+        return netmodel.parse_network_json(config)
+    return netmodel.build_model(*_resolve_model(args, config))
 
 
 def _open_out(args):
@@ -176,7 +164,7 @@ def cmd_coherence(args) -> int:
 
 
 def cmd_winding(args) -> int:
-    model, _, params = _resolve_model(args)
+    model, _, params = _resolve_model(args, _read_config(args))
     if model == "ssh":
         bloch = topology.bloch_ssh(params["J1"], params["J2"], params["Gamma"])
         closed = lambda: topology.winding_ssh_closed_form(params["J1"], params["J2"])
@@ -216,7 +204,7 @@ def cmd_table1(args) -> int:
 
 
 def cmd_scaling(args) -> int:
-    model, _, params = _resolve_model(args)
+    model, _, params = _resolve_model(args, _read_config(args))
     n_list = [int(s) for s in args.Ns.split(",") if s]
     report = topology.bulk_edge_report(model, params, n_list, eps_dark=args.eps_dark)
     stream, close = _open_out(args)
@@ -229,17 +217,18 @@ def cmd_scaling(args) -> int:
 
 
 def cmd_disorder(args) -> int:
-    model, n, params = _resolve_model(args)
+    model, n, params = _resolve_model(args, _read_config(args))
     mask = None
     if args.site_mask is not None:
+        if set(args.site_mask) - {"0", "1"}:
+            raise SpecificationError(f"--site-mask must be a string of 0/1, got {args.site_mask!r}")
         mask = tuple(ch == "1" for ch in args.site_mask)
     cfg = disorder.DisorderConfig(
         model=model, N=n, params=params, mu=args.mu,
         n_realizations=args.n_realizations, base_seed=args.seed,
         times=_time_grid(args), site_mask=mask,
     )
-    threads = _thread_budget()
-    result = disorder.run_ensemble(cfg, threads=threads)
+    result = disorder.run_ensemble(cfg)
     stream, close = _open_out(args)
     try:
         disorder.write_ensemble_csv(stream, cfg, result, _gnuplot_lines(args, "1:2"))
@@ -247,15 +236,6 @@ def cmd_disorder(args) -> int:
         if close:
             stream.close()
     return 0
-
-
-def _thread_budget() -> int:
-    raw = os.environ.get("NHTOP_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise SpecificationError(f"NHTOP_THREADS must be an integer, got {raw!r}")
-    return max(1, min(n, os.cpu_count() or 1))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -18,7 +18,6 @@ zero-width ensemble equals the clean trace exactly.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -103,13 +102,12 @@ def _realization_values(H0, cfg: DisorderConfig, r: int) -> np.ndarray:
     return np.asarray(coherence_trace(H, cfg.times).values)
 
 
-def run_ensemble(cfg: DisorderConfig, threads: int = 1) -> EnsembleResult:
+def run_ensemble(cfg: DisorderConfig) -> EnsembleResult:
     """Average the coherence over detuning realizations.
 
-    Realizations are independent; with ``threads > 1`` they are evaluated
-    concurrently but always written into their own slot, so the aggregate is
-    identical regardless of scheduling.  Realizations whose evolution fails
-    numerically are skipped and counted in ``n_failed``.
+    Each realization is written into its own slot of the table, so the
+    aggregate does not depend on evaluation order.  Realizations whose
+    evolution fails numerically are skipped and counted in ``n_failed``.
     """
     H0 = netmodel.build_model(cfg.model, cfg.N, cfg.params)
     clean = coherence_trace(H0, cfg.times)
@@ -118,18 +116,11 @@ def run_ensemble(cfg: DisorderConfig, threads: int = 1) -> EnsembleResult:
     n = cfg.n_realizations
     table = np.full((n, base.size), np.nan)
 
-    def fill(r):
+    for r in range(n):
         try:
             table[r, :] = _realization_values(H0, cfg, r)
         except (NumericError, np.linalg.LinAlgError):
             pass
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill, range(n)))
-    else:
-        for r in range(n):
-            fill(r)
 
     ok = ~np.isnan(table[:, 0])
     n_ok = int(np.count_nonzero(ok))

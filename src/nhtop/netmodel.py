@@ -16,7 +16,8 @@ and rates are quoted in units of the first hopping amplitude.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -100,7 +101,6 @@ class EffectiveHamiltonian:
     """Dense complex N x N matrix H; the coherence-sector generator is -iH."""
 
     matrix: np.ndarray
-    provenance: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self):
         m = _frozen(self.matrix)
@@ -117,7 +117,6 @@ class EffectiveHamiltonian:
         if np.max(np.diag(anti).imag) > _HERM_TOL * scale:
             raise SpecificationError("on-site loss terms must have non-positive imaginary part")
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "provenance", dict(self.provenance))
 
     @property
     def dim(self) -> int:
@@ -159,7 +158,7 @@ def build_effective_hamiltonian(spec: NetworkSpec) -> EffectiveHamiltonian:
     for i, j, amp in spec.edges:
         h[i - 1, j - 1] = amp
         h[j - 1, i - 1] = amp
-    return EffectiveHamiltonian(h, {"model": "custom", "n_sites": n})
+    return EffectiveHamiltonian(h)
 
 
 def build_impurity_model(N: int, J: float, kappa: float, Gamma: float) -> EffectiveHamiltonian:
@@ -169,19 +168,7 @@ def build_impurity_model(N: int, J: float, kappa: float, Gamma: float) -> Effect
     amplitude ``kappa`` to the first cavity; cavities hop with ``J`` and each
     carries ``-i Gamma / 2``.
     """
-    if N < 2:
-        raise SpecificationError("impurity model needs N >= 2 sites")
-    if Gamma < 0:
-        raise SpecificationError("Gamma must be >= 0")
-    h = np.zeros((N, N), dtype=complex)
-    for j in range(1, N):
-        h[j, j] = -0.5j * Gamma
-    h[0, 1] = h[1, 0] = kappa
-    for j in range(1, N - 1):
-        h[j, j + 1] = h[j + 1, j] = J
-    return EffectiveHamiltonian(
-        h, {"model": "impurity", "N": N, "J": J, "kappa": kappa, "Gamma": Gamma}
-    )
+    return build_effective_hamiltonian(impurity_network(N, J, kappa, Gamma))
 
 
 def build_ssh_model(N: int, J1: float, J2: float, Gamma: float) -> EffectiveHamiltonian:
@@ -192,16 +179,7 @@ def build_ssh_model(N: int, J1: float, J2: float, Gamma: float) -> EffectiveHami
     ``Gamma/2``): this model family is defined with the loss entry written
     directly, and that convention is kept verbatim.
     """
-    if N < 2:
-        raise SpecificationError("chain needs N >= 2 sites")
-    h = np.zeros((N, N), dtype=complex)
-    for i in range(N - 1):
-        h[i, i + 1] = h[i + 1, i] = J1 if i % 2 == 0 else J2
-    for i in range(1, N, 2):
-        h[i, i] = -1j * Gamma
-    return EffectiveHamiltonian(
-        h, {"model": "ssh", "N": N, "J1": J1, "J2": J2, "Gamma": Gamma}
-    )
+    return build_effective_hamiltonian(ssh_network(N, J1, J2, Gamma))
 
 
 def build_three_site_model(
@@ -222,39 +200,7 @@ def build_three_site_model(
     are ``eps1``, ``eps2`` and ``-i Gamma`` on the third position.  Partial
     final cells simply drop the bonds that would leave the chain.
     """
-    if N < 3:
-        raise SpecificationError("three-site chain needs N >= 3 sites")
-    h = np.zeros((N, N), dtype=complex)
-    for s in range(N):
-        p = s % 3
-        if p == 0:
-            h[s, s] = eps1
-            if s + 1 < N:
-                h[s, s + 1] = h[s + 1, s] = J1
-            if s + 2 < N:
-                h[s, s + 2] = h[s + 2, s] = J
-        elif p == 1:
-            h[s, s] = eps2
-            if s + 1 < N:
-                h[s, s + 1] = h[s + 1, s] = J2
-        else:
-            h[s, s] = -1j * Gamma
-            if s + 1 < N:
-                h[s, s + 1] = h[s + 1, s] = J3
-    return EffectiveHamiltonian(
-        h,
-        {
-            "model": "three-site",
-            "N": N,
-            "J1": J1,
-            "J2": J2,
-            "J3": J3,
-            "J": J,
-            "eps1": eps1,
-            "eps2": eps2,
-            "Gamma": Gamma,
-        },
-    )
+    return build_effective_hamiltonian(three_site_network(N, J1, J2, J3, J, eps1, eps2, Gamma))
 
 
 def apply_detuning_disorder(H: EffectiveHamiltonian, mu_values: Sequence[float]) -> EffectiveHamiltonian:
@@ -262,9 +208,7 @@ def apply_detuning_disorder(H: EffectiveHamiltonian, mu_values: Sequence[float])
     mu = np.asarray(mu_values, dtype=float)
     if mu.shape != (H.dim,):
         raise SpecificationError(f"expected {H.dim} detunings, got shape {mu.shape}")
-    prov = dict(H.provenance)
-    prov["disordered"] = True
-    return EffectiveHamiltonian(H.matrix + np.diag(mu), prov)
+    return EffectiveHamiltonian(H.matrix + np.diag(mu))
 
 
 # ---------------------------------------------------------------------------
@@ -299,9 +243,6 @@ class Superoperator:
     def index_01(self, j: int) -> int:
         """Index of |0><j|, 1-based j."""
         return j
-
-    def index_10(self, j: int) -> int:
-        return self.n_sites + j
 
     def index_11(self, i: int, j: int) -> int:
         return 2 * self.n_sites + (i - 1) * self.n_sites + j
@@ -350,11 +291,14 @@ def build_full_superoperator(spec: NetworkSpec) -> Superoperator:
 
 
 # ---------------------------------------------------------------------------
-# Canonical models as NetworkSpec values (used by the superoperator oracle)
-# and a common dispatch for CLI / config ingestion.
+# The canonical chains.  Each *_network function is the one statement of its
+# chain's sites, bonds and loss convention; every builder assembles H from it.
 # ---------------------------------------------------------------------------
 
 def impurity_network(N: int, J: float, kappa: float, Gamma: float) -> NetworkSpec:
+    # every cavity carries -i*Gamma/2: loss rate Gamma in the general convention
+    if N < 2:
+        raise SpecificationError("impurity model needs N >= 2 sites")
     sites = [SiteSpec(QUBIT)] + [SiteSpec(CAVITY, 0.0, Gamma) for _ in range(N - 1)]
     edges = [(1, 2, kappa)] + [(j, j + 1, J) for j in range(2, N)]
     return NetworkSpec(tuple(sites), tuple(edges))
@@ -362,6 +306,8 @@ def impurity_network(N: int, J: float, kappa: float, Gamma: float) -> NetworkSpe
 
 def ssh_network(N: int, J1: float, J2: float, Gamma: float) -> NetworkSpec:
     # even sites carry -i*Gamma, i.e. loss rate 2*Gamma in the Gamma/2 convention
+    if N < 2:
+        raise SpecificationError("chain needs N >= 2 sites")
     sites = [SiteSpec(QUBIT)]
     for s in range(2, N + 1):
         sites.append(SiteSpec(CAVITY, 0.0, 2.0 * Gamma if s % 2 == 0 else 0.0))
@@ -372,42 +318,33 @@ def ssh_network(N: int, J1: float, J2: float, Gamma: float) -> NetworkSpec:
 def three_site_network(
     N: int, J1: float, J2: float, J3: float, J: float, eps1: float, eps2: float, Gamma: float
 ) -> NetworkSpec:
-    sites = []
+    # the third site of each cell carries -i*Gamma, i.e. loss rate 2*Gamma
+    if N < 3:
+        raise SpecificationError("three-site chain needs N >= 3 sites")
+    # bonds leaving each cell position, as (site offset, amplitude)
+    bonds = (((1, J1), (2, J)), ((1, J2),), ((1, J3),))
+    sites, edges = [], []
     for s in range(1, N + 1):
         p = (s - 1) % 3
-        if p == 0:
-            kind = QUBIT if s == 1 else CAVITY
-            sites.append(SiteSpec(kind, eps1, 0.0))
-        elif p == 1:
-            sites.append(SiteSpec(CAVITY, eps2, 0.0))
-        else:
-            sites.append(SiteSpec(CAVITY, 0.0, 2.0 * Gamma))
-    edges = []
-    for s in range(1, N + 1):
-        p = (s - 1) % 3
-        if p == 0:
-            if s + 1 <= N:
-                edges.append((s, s + 1, J1))
-            if s + 2 <= N:
-                edges.append((s, s + 2, J))
-        elif p == 1 and s + 1 <= N:
-            edges.append((s, s + 1, J2))
-        elif p == 2 and s + 1 <= N:
-            edges.append((s, s + 1, J3))
+        sites.append(SiteSpec(QUBIT if s == 1 else CAVITY, (eps1, eps2, 0.0)[p],
+                              2.0 * Gamma if p == 2 else 0.0))
+        edges += [(s, s + d, amp) for d, amp in bonds[p] if s + d <= N]
     return NetworkSpec(tuple(sites), tuple(edges))
 
 
 MODEL_NAMES = ("impurity", "ssh", "three-site", "custom")
 
+#: parameter names of each canonical chain, in the order of its *_network arguments
 _PARAM_KEYS = {
     "impurity": ("J", "kappa", "Gamma"),
     "ssh": ("J1", "J2", "Gamma"),
     "three-site": ("J1", "J2", "J3", "J", "eps1", "eps2", "Gamma"),
 }
+_NETWORKS = {"impurity": impurity_network, "ssh": ssh_network, "three-site": three_site_network}
 
 
-def build_model(model: str, N: int, params: Mapping[str, float]) -> EffectiveHamiltonian:
-    """Dispatch to a canonical builder by model name, validating parameter keys."""
+def model_params(model: str, params: Mapping[str, float]) -> dict[str, float]:
+    """A canonical model's parameters as floats; unknown or missing names are rejected."""
     if model not in _PARAM_KEYS:
         raise SpecificationError(f"unknown model {model!r}; expected one of {MODEL_NAMES}")
     keys = _PARAM_KEYS[model]
@@ -417,69 +354,83 @@ def build_model(model: str, N: int, params: Mapping[str, float]) -> EffectiveHam
     missing = set(keys) - set(params)
     if missing:
         raise SpecificationError(f"missing parameters for {model}: {sorted(missing)}")
-    p = {k: float(params[k]) for k in keys}
-    if model == "impurity":
-        return build_impurity_model(N, p["J"], p["kappa"], p["Gamma"])
-    if model == "ssh":
-        return build_ssh_model(N, p["J1"], p["J2"], p["Gamma"])
-    return build_three_site_model(
-        N, p["J1"], p["J2"], p["J3"], p["J"], p["eps1"], p["eps2"], p["Gamma"]
-    )
+    return {k: float(params[k]) for k in keys}
+
+
+def build_model(model: str, N: int, params: Mapping[str, float]) -> EffectiveHamiltonian:
+    """Dispatch to a canonical builder by model name, validating parameter keys."""
+    return build_effective_hamiltonian(network_for_model(model, N, model_params(model, params)))
 
 
 def network_for_model(model: str, N: int, params: Mapping[str, float]) -> NetworkSpec:
-    """NetworkSpec equivalent of a canonical model (same effective H)."""
-    p = dict(params)
-    if model == "impurity":
-        return impurity_network(N, p["J"], p["kappa"], p["Gamma"])
-    if model == "ssh":
-        return ssh_network(N, p["J1"], p["J2"], p["Gamma"])
-    if model == "three-site":
-        return three_site_network(
-            N, p["J1"], p["J2"], p["J3"], p["J"], p["eps1"], p["eps2"], p["Gamma"]
-        )
-    raise SpecificationError(f"no network form for model {model!r}")
+    """NetworkSpec of a canonical model (the form ``build_model`` assembles H from)."""
+    if model not in _NETWORKS:
+        raise SpecificationError(f"no network form for model {model!r}")
+    return _NETWORKS[model](N, *(params[k] for k in _PARAM_KEYS[model]))
 
 
-def parse_network_json(data: Mapping[str, object]) -> EffectiveHamiltonian:
-    """Build H from the JSON network schema.
+def _is_number(value, integer: bool = False) -> bool:
+    """A real number (an integer if asked); booleans are not numbers."""
+    return not isinstance(value, bool) and isinstance(
+        value, numbers.Integral if integer else numbers.Real)
+
+
+def check_config(data: object) -> Mapping[str, object]:
+    """Check the shape of a JSON network config and return it unchanged.
 
     Schema: ``{"model": "custom"|"impurity"|"ssh"|"three-site", "N": int,
-    "params": {...}, "custom": {"sites": [{"kind", "detuning", "gamma"}],
-    "edges": [{"i", "j", "J"}]}}`` with 1-based site indices.  Unknown keys
-    anywhere are rejected.
+    "params": {name: number}, "custom": {"sites": [{"kind", "detuning",
+    "gamma"}], "edges": [{"i", "j", "J"}]}}`` with 1-based site indices.  The
+    top-level keys are optional here; unknown keys anywhere and values of the
+    wrong type raise ``SpecificationError``.  Parameter names are checked by
+    ``model_params``, and the ranges of site and edge values by ``SiteSpec``
+    and ``NetworkSpec``.
     """
     if not isinstance(data, Mapping):
         raise SpecificationError("network config must be a JSON object")
-    allowed = {"model", "N", "params", "custom"}
-    unknown = set(data) - allowed
+    unknown = set(data) - {"model", "N", "params", "custom"}
     if unknown:
         raise SpecificationError(f"unknown config keys: {sorted(unknown)}")
-    model = data.get("model")
-    if model not in MODEL_NAMES:
+    if "model" in data and data["model"] not in MODEL_NAMES:
         raise SpecificationError(f"config 'model' must be one of {MODEL_NAMES}")
-    if model == "custom":
-        custom = data.get("custom")
-        if not isinstance(custom, Mapping) or set(custom) - {"sites", "edges"}:
-            raise SpecificationError("custom config needs 'sites' and optionally 'edges'")
-        sites = []
-        for entry in custom.get("sites", []):
-            extra = set(entry) - {"kind", "detuning", "gamma"}
-            if extra:
-                raise SpecificationError(f"unknown site keys: {sorted(extra)}")
-            sites.append(
-                SiteSpec(entry["kind"], float(entry.get("detuning", 0.0)), float(entry.get("gamma", 0.0)))
-            )
-        edges = []
-        for entry in custom.get("edges", []):
-            extra = set(entry) - {"i", "j", "J"}
-            if extra:
-                raise SpecificationError(f"unknown edge keys: {sorted(extra)}")
-            edges.append((int(entry["i"]), int(entry["j"]), float(entry["J"])))
-        return build_effective_hamiltonian(NetworkSpec(tuple(sites), tuple(edges)))
-    if "N" not in data:
-        raise SpecificationError(f"model {model!r} requires 'N'")
+    if "N" in data and not _is_number(data["N"], integer=True):
+        raise SpecificationError(f"config 'N' must be an integer, got {data['N']!r}")
     params = data.get("params", {})
-    if not isinstance(params, Mapping):
-        raise SpecificationError("'params' must be an object")
-    return build_model(model, int(data["N"]), params)
+    if not isinstance(params, Mapping) or not all(_is_number(v) for v in params.values()):
+        raise SpecificationError("config 'params' must be an object of numbers")
+    if data.get("model") != "custom" and "custom" not in data:
+        return data
+    custom = data.get("custom")
+    if not isinstance(custom, Mapping) or set(custom) - {"sites", "edges"}:
+        raise SpecificationError("custom config needs 'sites' and optionally 'edges'")
+    for what, keys in (("site", {"kind", "detuning", "gamma"}), ("edge", {"i", "j", "J"})):
+        entries = custom.get(what + "s", [])
+        if not isinstance(entries, list) or not all(isinstance(e, Mapping) for e in entries):
+            raise SpecificationError(f"custom '{what}s' must be a list of objects")
+        for entry in entries:
+            if set(entry) - keys:
+                raise SpecificationError(f"unknown {what} keys: {sorted(set(entry) - keys)}")
+            if not all(_is_number(v, k in ("i", "j")) for k, v in entry.items() if k != "kind"):
+                raise SpecificationError(f"custom {what} values must be numbers, "
+                                         f"site indices integers: {dict(entry)}")
+    return data
+
+
+def parse_network_json(data: Mapping[str, object]) -> EffectiveHamiltonian:
+    """Build H from a JSON network config (schema in ``check_config``).
+
+    ``model`` is required, and so is ``N`` for a canonical model.
+    """
+    check_config(data)
+    model = data.get("model")
+    if model is None:
+        raise SpecificationError(f"config 'model' must be one of {MODEL_NAMES}")
+    if model != "custom":
+        if "N" not in data:
+            raise SpecificationError(f"model {model!r} requires 'N'")
+        return build_model(model, data["N"], data.get("params", {}))
+    custom = data["custom"]
+    sites = [SiteSpec(e["kind"], float(e.get("detuning", 0.0)), float(e.get("gamma", 0.0)))
+             for e in custom.get("sites", [])]
+    edges = [(e["i"], e["j"], e["J"]) for e in custom.get("edges", [])]
+    return build_effective_hamiltonian(NetworkSpec(tuple(sites), tuple(edges)))

@@ -150,19 +150,41 @@ def test_disorder_command(tmp_path):
     assert all(r[3] == "20" for r in rows)
 
 
-def test_thread_budget_env_var(tmp_path, monkeypatch):
-    out = tmp_path / "dis.csv"
-    args = ["disorder", "--model", "ssh", "--N", "3", "--mu", "0.4",
-            "--n-realizations", "16", "--t-max", "20", "--t-points", "3",
-            "--out", str(out)]
-    monkeypatch.setenv("NHTOP_THREADS", "2")
-    assert main(args) == 0
-    threaded = out.read_bytes()
-    monkeypatch.setenv("NHTOP_THREADS", "1")
-    assert main(args) == 0
-    assert out.read_bytes() == threaded
-    monkeypatch.setenv("NHTOP_THREADS", "lots")
-    assert main(args) == 2
+def test_site_mask_rejects_characters_other_than_0_and_1(tmp_path, capsys):
+    args = ["disorder", "--model", "ssh", "--N", "3", "--n-realizations", "4",
+            "--t-points", "3", "--out", str(tmp_path / "dis.csv")]
+    assert main(args + ["--site-mask", "101"]) == 0
+    assert main(args + ["--site-mask", "1x1"]) == 2
+    assert "site-mask" in capsys.readouterr().err
+
+
+_CUSTOM_SITES = [{"kind": "qubit"}, {"kind": "cavity", "gamma": 4.0}]
+
+
+@pytest.mark.parametrize("command", ["spectrum", "disorder"])
+@pytest.mark.parametrize("config", [
+    {"model": "ssh", "N": 4, "params": [1, 2]},
+    {"model": "ssh", "N": 4, "params": {"J1": None}},
+    {"model": "ssh", "N": 4, "params": {"J1": "1.0"}},
+    {"model": "ssh", "N": None},
+    {"model": "ssh", "N": 4.5},
+    {"model": None},
+    {"model": "ssh", "params": {"kappa": 0.5}},
+    {"model": "custom", "custom": {"sites": [["kind"]]}},
+    {"model": "custom", "custom": {"sites": {"kind": "qubit"}}},
+    {"model": "custom", "custom": {"sites": [{"kind": "qubit"},
+                                             {"kind": "cavity", "gamma": None}]}},
+    {"model": "custom", "custom": {"sites": _CUSTOM_SITES, "edges": [{"i": 1, "j": 2}]}},
+    {"model": "custom", "custom": {"sites": _CUSTOM_SITES,
+                                   "edges": [{"i": 1, "j": 2, "J": None}]}},
+    {"model": "custom", "custom": {"sites": _CUSTOM_SITES,
+                                   "edges": [{"i": 1, "j": 2.9, "J": 0.5}]}},
+])
+def test_malformed_config_values_exit_two(tmp_path, capsys, command, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
+    assert "configuration error" in capsys.readouterr().err
 
 
 def test_gnuplot_header_flag(tmp_path):

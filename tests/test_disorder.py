@@ -47,11 +47,6 @@ class TestEnsemble:
         assert np.array_equal(r1.mean_trace.values, r2.mean_trace.values)
         assert np.array_equal(r1.stderr_trace, r2.stderr_trace)
 
-    def test_thread_count_does_not_change_result(self):
-        r1 = disorder.run_ensemble(_cfg(0.4), threads=1)
-        r4 = disorder.run_ensemble(_cfg(0.4), threads=4)
-        assert np.array_equal(r1.mean_trace.values, r4.mean_trace.values)
-
     def test_masked_sites_receive_no_noise(self):
         res = disorder.run_ensemble(_cfg(0.8, site_mask=(False,) * 7))
         assert np.array_equal(res.mean_trace.values, res.clean_trace.values)

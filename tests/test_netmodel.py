@@ -86,6 +86,15 @@ class TestCanonicalBuilders:
         with pytest.raises(SpecificationError):
             netmodel.build_impurity_model(1, 1.0, 0.5, 4.0)
 
+    @pytest.mark.parametrize("network, args", [
+        (netmodel.impurity_network, (1, 1.0, 0.5, 4.0)),
+        (netmodel.ssh_network, (1, 1.0, 1.8, 0.5)),
+        (netmodel.three_site_network, (2, 1.0, 0.3, 2.0, 0.7, 0.0, 0.0, 0.5)),
+    ])
+    def test_network_size_error(self, network, args):
+        with pytest.raises(SpecificationError):
+            network(*args)
+
     def test_impurity_localized_eigenvalue(self):
         # frozen from the closed form -4 k^2/(Gamma + sqrt(16(J^2-k^2)+Gamma^2))
         lam_formula = -0.10762521851076509
