@@ -73,7 +73,7 @@ class DisorderConfig:
             raise ValueError("mu must be >= 0")
         if self.n_realizations < 1:
             raise ValueError("n_realizations must be >= 1")
-        t = np.asarray(self.times, dtype=float)
+        t = np.array(self.times, dtype=float)  # a copy: the caller's grid stays writeable
         t.setflags(write=False)
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "params", dict(self.params))

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NumericError
 from .netmodel import EffectiveHamiltonian, Superoperator
@@ -40,8 +39,9 @@ class CoherenceTrace:
     method: str
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        v = np.asarray(self.values, dtype=float)
+        # copies: freezing must not reach the caller's own arrays
+        t = np.array(self.times, dtype=float)
+        v = np.array(self.values, dtype=float)
         if t.ndim != 1 or t.shape != v.shape:
             raise ValueError("times and values must be matching 1-d arrays")
         if t.size and (np.any(np.diff(t) < 0) or t[0] < 0):
@@ -71,6 +71,8 @@ def _spectral_values(sd: SpectralData, times: np.ndarray) -> np.ndarray:
 
 
 def _expm_values(H: EffectiveHamiltonian, times: np.ndarray) -> np.ndarray:
+    import scipy.linalg
+
     L = H.generator
     e1 = np.zeros(H.dim, dtype=complex)
     e1[0] = 1.0
@@ -122,6 +124,8 @@ def coherence_trace_superoperator(sop: Superoperator, times) -> CoherenceTrace:
     Reads back the |0><1| component, which equals the reduced-sector matrix
     element exactly; this is the independent cross-check for the reduction.
     """
+    import scipy.linalg
+
     t = np.asarray(times, dtype=float)
     idx = sop.index_01(1)
     v0 = np.zeros(sop.dim, dtype=complex)
@@ -136,6 +140,8 @@ def expm_oracle(H: EffectiveHamiltonian, t: float) -> np.ndarray:
     """exp(t L) by scaling-and-squaring (Pade), independent of the spectral path."""
     if t < 0:
         raise ValueError("t must be >= 0")
+    import scipy.linalg
+
     out = scipy.linalg.expm(H.generator * t)
     if not np.all(np.isfinite(out)):
         raise NumericError("matrix exponential overflowed")

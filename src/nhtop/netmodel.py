@@ -381,7 +381,8 @@ def check_config(data: object) -> Mapping[str, object]:
     Schema: ``{"model": "custom"|"impurity"|"ssh"|"three-site", "N": int,
     "params": {name: number}, "custom": {"sites": [{"kind", "detuning",
     "gamma"}], "edges": [{"i", "j", "J"}]}}`` with 1-based site indices.  The
-    top-level keys are optional here; unknown keys anywhere and values of the
+    top-level keys are optional here, but each site needs ``kind`` and each
+    edge all three keys; missing or unknown keys anywhere and values of the
     wrong type raise ``SpecificationError``.  Parameter names are checked by
     ``model_params``, and the ranges of site and edge values by ``SiteSpec``
     and ``NetworkSpec``.
@@ -403,13 +404,17 @@ def check_config(data: object) -> Mapping[str, object]:
     custom = data.get("custom")
     if not isinstance(custom, Mapping) or set(custom) - {"sites", "edges"}:
         raise SpecificationError("custom config needs 'sites' and optionally 'edges'")
-    for what, keys in (("site", {"kind", "detuning", "gamma"}), ("edge", {"i", "j", "J"})):
+    for what, required, keys in (("site", ("kind",), {"kind", "detuning", "gamma"}),
+                                 ("edge", ("i", "j", "J"), {"i", "j", "J"})):
         entries = custom.get(what + "s", [])
         if not isinstance(entries, list) or not all(isinstance(e, Mapping) for e in entries):
             raise SpecificationError(f"custom '{what}s' must be a list of objects")
-        for entry in entries:
+        for number, entry in enumerate(entries, 1):
             if set(entry) - keys:
                 raise SpecificationError(f"unknown {what} keys: {sorted(set(entry) - keys)}")
+            for key in required:
+                if key not in entry:
+                    raise SpecificationError(f"custom {what} {number} lacks {key!r}")
             if not all(_is_number(v, k in ("i", "j")) for k, v in entry.items() if k != "kind"):
                 raise SpecificationError(f"custom {what} values must be numbers, "
                                          f"site indices integers: {dict(entry)}")

@@ -3,7 +3,8 @@
 ``decompose`` diagonalizes ``L = -iH`` with paired left/right eigenvectors,
 normalized so that the rank-one projectors ``P_j = r_j l_j^dag`` resolve the
 identity.  Everything downstream (coherence traces, quasi-dark mode searches,
-localization fits) is built on top of this decomposition.
+localization fits) is built on top of this decomposition, which is computed
+once per ``EffectiveHamiltonian`` and cached on it.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NumericError
 from .netmodel import EffectiveHamiltonian
@@ -30,7 +30,8 @@ class SpectralData:
     ``l_j^dag r_j = 1``.  Modes are sorted by decay rate ``-Re(lambda)``
     ascending.  ``condition`` is the eigenvector-matrix condition number; a
     value above ~1e10 flags a near-defective (exceptional) point and sets
-    ``degenerate_warning``.
+    ``degenerate_warning``.  The arrays are read-only: ``decompose`` hands
+    the same instance to every caller of the same ``H``.
     """
 
     eigenvalues: np.ndarray
@@ -55,7 +56,20 @@ def decompose(H: EffectiveHamiltonian) -> SpectralData:
     each pair is rescaled to ``l_j^dag r_j = 1``.  If the pairing is too
     inaccurate (clustered spectrum) the left set is rebuilt from the inverse
     of the right eigenvector matrix, which enforces completeness directly.
+
+    The result is cached on ``H`` (whose matrix is a private read-only copy),
+    so later calls for the same instance, with ``DEGENERACY_CONDITION`` and
+    ``_PAIRING_TOL`` unchanged, return the same read-only ``SpectralData``
+    without another solve.  ``scipy.linalg`` is imported on the first solve.
     """
+    thresholds = (DEGENERACY_CONDITION, _PAIRING_TOL)
+    cacheable = not H.matrix.flags.writeable
+    cached = vars(H).get("_spectral")
+    if cacheable and cached is not None and cached[0] == thresholds:
+        return cached[1]
+
+    import scipy.linalg
+
     L = -1j * H.matrix
     if not np.all(np.isfinite(L)):
         raise NumericError("generator contains non-finite entries")
@@ -78,13 +92,18 @@ def decompose(H: EffectiveHamiltonian) -> SpectralData:
             left = np.linalg.inv(vr).conj().T
 
     order = np.lexsort((w.imag, -w.real))
-    return SpectralData(
+    sd = SpectralData(
         eigenvalues=w[order].copy(),
         right_vectors=vr[:, order].copy(),
         left_vectors=left[:, order].copy(),
         condition=condition,
         degenerate_warning=degenerate,
     )
+    for a in (sd.eigenvalues, sd.right_vectors, sd.left_vectors):
+        a.setflags(write=False)
+    if cacheable:
+        object.__setattr__(H, "_spectral", (thresholds, sd))
+    return sd
 
 
 def overlap_weights(sd: SpectralData, site: int = 1) -> np.ndarray:
@@ -101,6 +120,8 @@ def overlap_weights(sd: SpectralData, site: int = 1) -> np.ndarray:
 
 def site_overlap(sd: SpectralData, mode: int, site: int = 1) -> float:
     """|<site|r_mode>|^2 for the unit-normalized right eigenvector."""
+    if not 1 <= site <= sd.n:
+        raise IndexError(f"site {site} out of range 1..{sd.n}")
     v = sd.right_vectors[:, mode]
     return float(np.abs(v[site - 1]) ** 2 / np.linalg.norm(v) ** 2)
 

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nhtop
 from nhtop.cli import build_parser, main
 
 
@@ -120,6 +125,29 @@ def test_coherence_full_method(tmp_path):
     assert any("method=full_superoperator" in l for l in lines if l.startswith("#"))
 
 
+def test_coherence_expm_method(tmp_path):
+    out = tmp_path / "c.csv"
+    assert main(["coherence", "--model", "ssh", "--N", "4", "--method", "expm",
+                 "--t-max", "10", "--t-points", "8", "--out", str(out)]) == 0
+    assert "# method=expm" in out.read_text().splitlines()
+    _, rows = _read_csv(out)
+    assert len(rows) == 8
+
+
+@pytest.mark.parametrize("code, loaded", [
+    ("import nhtop", False),
+    ("import nhtop.cli; nhtop.cli.main(['model', '--out', os.devnull])", False),
+    ("import nhtop.cli; nhtop.cli.main(['spectrum', '--out', os.devnull])", True),
+])
+def test_scipy_linalg_loads_on_first_use(code, loaded):
+    src = str(Path(nhtop.__file__).resolve().parents[1])
+    probe = f"import os, sys; {code}; print('scipy.linalg' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == [str(loaded)]
+
+
 def test_linear_time_grid_starts_at_zero(tmp_path):
     out = tmp_path / "c.csv"
     assert main(["coherence", "--model", "ssh", "--N", "3", "--no-log-time",
@@ -185,6 +213,18 @@ def test_malformed_config_values_exit_two(tmp_path, capsys, command, config):
     cfg.write_text(json.dumps(config))
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("custom, message", [
+    ({"sites": [{"gamma": 1.0}]}, "custom site 1 lacks 'kind'"),
+    ({"sites": _CUSTOM_SITES, "edges": [{"i": 1, "J": 0.5}]}, "custom edge 1 lacks 'j'"),
+    ({"sites": _CUSTOM_SITES, "edges": [{"i": 1, "j": 2}]}, "custom edge 1 lacks 'J'"),
+])
+def test_missing_custom_key_is_named(tmp_path, capsys, custom, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": "custom", "custom": custom}))
+    assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
+    assert f"configuration error: {message}" in capsys.readouterr().err
 
 
 def test_gnuplot_header_flag(tmp_path):

@@ -86,6 +86,14 @@ class TestEnsemble:
             _cfg(0.1, site_mask=(True,) * 3)
 
 
+def test_config_leaves_caller_time_grid_writeable():
+    grid = np.array([0.0, 50.0])
+    cfg = disorder.DisorderConfig(model="ssh", N=7, params=SSH_PARAMS, mu=0.1,
+                                  n_realizations=5, base_seed=99, times=grid)
+    assert grid.flags.writeable
+    assert not cfg.times.flags.writeable
+
+
 def test_csv_output(tmp_path):
     cfg = _cfg(0.4, n_real=5)
     res = disorder.run_ensemble(cfg)

@@ -52,6 +52,15 @@ class TestCoherenceTrace:
         with pytest.raises(NumericError):
             dynamics.coherence_trace(H, [0.0, 1.0], method="spectral")
 
+    @pytest.mark.parametrize("method", ["spectral", "expm"])
+    def test_caller_time_grid_stays_writeable(self, method):
+        grid = np.linspace(0.0, 5.0, 6)
+        tr = dynamics.coherence_trace(netmodel.build_ssh_model(4, 1.0, 1.8, 0.5), grid, method)
+        assert grid.flags.writeable
+        assert not tr.times.flags.writeable
+        grid[0] = 1.0
+        assert tr.times[0] == 0.0
+
     def test_validation_rejects_descending_times(self):
         H = netmodel.build_ssh_model(4, 1.0, 1.8, 0.5)
         with pytest.raises(ValueError):

@@ -279,6 +279,20 @@ class TestModelDispatchAndJson:
         H = netmodel.parse_network_json(data)
         assert np.allclose(H.matrix, [[0, 0.7], [0.7, -2j]], atol=1e-15)
 
+    @pytest.mark.parametrize("custom, message", [
+        ({"sites": [{"gamma": 1.0}]}, "custom site 1 lacks 'kind'"),
+        ({"sites": [{"kind": "qubit"}, {"gamma": 1.0}]}, "custom site 2 lacks 'kind'"),
+        ({"sites": [{"kind": "qubit"}, {"kind": "cavity"}], "edges": [{"j": 2, "J": 1.0}]},
+         "custom edge 1 lacks 'i'"),
+        ({"sites": [{"kind": "qubit"}, {"kind": "cavity"}], "edges": [{"i": 1, "J": 1.0}]},
+         "custom edge 1 lacks 'j'"),
+        ({"sites": [{"kind": "qubit"}, {"kind": "cavity"}], "edges": [{"i": 1, "j": 2}]},
+         "custom edge 1 lacks 'J'"),
+    ])
+    def test_parse_network_json_names_missing_keys(self, custom, message):
+        with pytest.raises(SpecificationError, match=message):
+            netmodel.parse_network_json({"model": "custom", "custom": custom})
+
     def test_parse_network_json_rejects_unknown_keys(self):
         with pytest.raises(SpecificationError):
             netmodel.parse_network_json({"model": "ssh", "N": 4, "params": {}, "oops": 1})

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nhtop import netmodel, spectral
+from nhtop import dynamics, netmodel, spectral
 from nhtop.analytics import impurity_prediction, ssh_odd_asymptotic_coherence
 from conftest import random_network
 
@@ -82,6 +82,12 @@ class TestOverlapWeights:
         sd = spectral.decompose(netmodel.build_ssh_model(3, 1.0, 1.8, 0.5))
         with pytest.raises(IndexError):
             spectral.overlap_weights(sd, 4)
+
+    @pytest.mark.parametrize("site", [0, 4])
+    def test_site_overlap_out_of_range_site(self, site):
+        sd = spectral.decompose(netmodel.build_ssh_model(3, 1.0, 1.8, 0.5))
+        with pytest.raises(IndexError):
+            spectral.site_overlap(sd, 0, site)
 
     def test_cluster_weights_merge_degenerate_pairs(self):
         H = netmodel.EffectiveHamiltonian(np.diag([0.5, 0.5, -1j]))
@@ -203,3 +209,47 @@ def test_spectrum_rows_shape():
     assert len(rows) == 4
     assert all(len(r) == 7 for r in rows)
     assert rows[0][3] <= rows[-1][3]
+
+
+class TestDecomposeCache:
+    def test_same_hamiltonian_returns_same_object(self):
+        H = netmodel.build_ssh_model(5, 1.0, 1.8, 0.5)
+        assert spectral.decompose(H) is spectral.decompose(H)
+
+    def test_one_eigensolve_per_hamiltonian(self, monkeypatch):
+        import scipy.linalg
+
+        calls = []
+        eig = scipy.linalg.eig
+        monkeypatch.setattr(scipy.linalg, "eig", lambda *a, **k: calls.append(1) or eig(*a, **k))
+        H = netmodel.build_ssh_model(6, 1.0, 1.8, 0.5)
+        sd = spectral.decompose(H)
+        spectral.spectrum_rows(sd)
+        dynamics.coherence_trace(H, dynamics.log_time_grid(100.0, 50))
+        assert len(calls) == 1
+        # an equal matrix in a new instance is solved afresh
+        twin = netmodel.EffectiveHamiltonian(H.matrix)
+        sd2 = spectral.decompose(twin)
+        assert len(calls) == 2
+        assert sd2 is not sd
+        assert np.array_equal(sd2.eigenvalues, sd.eigenvalues)
+
+    def test_cached_arrays_are_read_only(self):
+        sd = spectral.decompose(netmodel.build_ssh_model(4, 1.0, 1.8, 0.5))
+        for arr in (sd.eigenvalues, sd.right_vectors, sd.left_vectors):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    def test_changed_pairing_tolerance_solves_again(self, monkeypatch):
+        H = netmodel.build_ssh_model(4, 1.0, 1.8, 0.5)
+        sd = spectral.decompose(H)
+        monkeypatch.setattr(spectral, "_PAIRING_TOL", -1.0)  # always rebuild from inv(vr)
+        sd2 = spectral.decompose(H)
+        assert sd2 is not sd
+        assert spectral.decompose(H) is sd2
+
+    def test_writeable_matrix_is_not_cached(self):
+        H = netmodel.build_ssh_model(4, 1.0, 1.8, 0.5)
+        H.matrix.setflags(write=True)
+        assert spectral.decompose(H) is not spectral.decompose(H)
