@@ -122,7 +122,7 @@ def run_ensemble(cfg: DisorderConfig) -> EnsembleResult:
         except (NumericError, np.linalg.LinAlgError):
             pass
 
-    ok = ~np.isnan(table[:, 0])
+    ok = np.all(np.isfinite(table), axis=1)
     n_ok = int(np.count_nonzero(ok))
     if n_ok == 0:
         raise NumericError("every disorder realization failed")

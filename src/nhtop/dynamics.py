@@ -20,7 +20,8 @@ from .spectral import SpectralData, decompose, overlap_weights
 
 METHODS = ("spectral", "expm", "full_superoperator")
 
-#: spectral -> expm fallback threshold on the eigenvector condition number
+#: spectral -> expm fallback threshold on ``SpectralData.condition``, the
+#: largest eigenvalue condition number ``max_j ||l_j||`` (unit ``r_j``)
 CONDITION_FALLBACK = 1e8
 
 #: weights smaller than this never contribute to C(t) and are dropped from
@@ -46,6 +47,8 @@ class CoherenceTrace:
             raise ValueError("times and values must be matching 1-d arrays")
         if t.size and (np.any(np.diff(t) < 0) or t[0] < 0):
             raise ValueError("times must be ascending and non-negative")
+        if not np.all(np.isfinite(v)):
+            raise NumericError("coherence values must be finite")
         if np.any(v < -1e-12):
             raise NumericError("coherence values must be non-negative")
         if t.size and t[0] == 0.0 and abs(v[0] - 1.0) > 1e-12:
@@ -92,7 +95,7 @@ def coherence_trace(H: EffectiveHamiltonian, times, method: str = "auto") -> Coh
         Ascending, non-negative times.
     method : {"auto", "spectral", "expm"}
         "auto" uses the spectral expansion and falls back to the
-        matrix-exponential route near exceptional points (eigenvector
+        matrix-exponential route near exceptional points (largest eigenvalue
         condition number above ``CONDITION_FALLBACK``) or when the spectral
         weights fail their completeness check.
     """

@@ -28,9 +28,10 @@ class SpectralData:
     Columns of ``right_vectors`` are unit right eigenvectors r_j; columns of
     ``left_vectors`` are the matching left eigenvectors l_j, scaled so that
     ``l_j^dag r_j = 1``.  Modes are sorted by decay rate ``-Re(lambda)``
-    ascending.  ``condition`` is the eigenvector-matrix condition number; a
-    value above ~1e10 flags a near-defective (exceptional) point and sets
-    ``degenerate_warning``.  The arrays are read-only: ``decompose`` hands
+    ascending.  ``condition`` is ``max_j ||l_j||``, the largest eigenvalue
+    condition number (not that of the eigenvector matrix); above
+    ``DEGENERACY_CONDITION`` it flags a near-defective (exceptional) point and
+    sets ``degenerate_warning``.  The arrays are read-only: ``decompose`` hands
     the same instance to every caller of the same ``H``.
     """
 
@@ -52,15 +53,17 @@ class SpectralData:
 def decompose(H: EffectiveHamiltonian) -> SpectralData:
     """Biorthogonal eigendecomposition of the generator L = -iH.
 
-    Left eigenvectors come from the adjoint problem (same LAPACK solve), then
-    each pair is rescaled to ``l_j^dag r_j = 1``.  If the pairing is too
-    inaccurate (clustered spectrum) the left set is rebuilt from the inverse
-    of the right eigenvector matrix, which enforces completeness directly.
+    Only right eigenvectors are solved for: since ``L == L.T``, the left ones
+    are ``conj(r_j) / conj(r_j^T r_j)``, paired so that ``l_j^dag r_j = 1``.
+    If that pairing misses ``_PAIRING_TOL`` (a degenerate eigenspace whose
+    LAPACK basis is not c-orthogonal, or ``H`` only nearly symmetric) the
+    left set is rebuilt from the inverse of the right eigenvector matrix,
+    which enforces completeness directly.
 
     The result is cached on ``H`` (whose matrix is a private read-only copy),
     so later calls for the same instance, with ``DEGENERACY_CONDITION`` and
     ``_PAIRING_TOL`` unchanged, return the same read-only ``SpectralData``
-    without another solve.  ``scipy.linalg`` is imported on the first solve.
+    without another solve.
     """
     thresholds = (DEGENERACY_CONDITION, _PAIRING_TOL)
     cacheable = not H.matrix.flags.writeable
@@ -68,28 +71,21 @@ def decompose(H: EffectiveHamiltonian) -> SpectralData:
     if cacheable and cached is not None and cached[0] == thresholds:
         return cached[1]
 
-    import scipy.linalg
-
     L = -1j * H.matrix
     if not np.all(np.isfinite(L)):
         raise NumericError("generator contains non-finite entries")
-    w, vl, vr = scipy.linalg.eig(L, left=True, right=True)
+    w, vr = np.linalg.eig(L)
 
-    condition = float(np.linalg.cond(vr))
-    degenerate = not np.isfinite(condition) or condition > DEGENERACY_CONDITION
-
-    # scipy returns vl with a^H vl = conj(w) vl; rescale to l_j^dag r_j = 1
-    overlap = np.einsum("ij,ij->j", vl.conj(), vr)
-    bad = np.abs(overlap) < 1e-300
-    if np.any(bad) and not degenerate:
-        degenerate = True
-    overlap = np.where(bad, 1.0, overlap)
-    left = vl / overlap.conj()[None, :]
-
-    if not degenerate:
-        gram = left.conj().T @ vr
-        if np.max(np.abs(gram - np.eye(H.dim))) > _PAIRING_TOL:
+    rtr = np.einsum("ij,ij->j", vr, vr)
+    if np.min(np.abs(rtr)) < 1e-300:  # a self-orthogonal r_j: exceptional point
+        left, condition = vr.conj(), math.inf
+    else:
+        left = vr.conj() / rtr.conj()
+        if np.max(np.abs(left.conj().T @ vr - np.eye(H.dim))) > _PAIRING_TOL:
             left = np.linalg.inv(vr).conj().T
+        # ||l_j|| for unit r_j: the condition number of eigenvalue j
+        condition = float(np.max(np.linalg.norm(left, axis=0)))
+    degenerate = not np.isfinite(condition) or condition > DEGENERACY_CONDITION
 
     order = np.lexsort((w.imag, -w.real))
     sd = SpectralData(

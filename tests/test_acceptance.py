@@ -93,15 +93,22 @@ def test_criterion_4_impurity_closed_form(record_criterion):
         details.append(f"kappa={kappa}: rate off {rel:.1%}")
 
     sup = 0.0
+    gaps = []
     for kappa, tau in ((0.2, 60.0), (0.5, 9.291502622129181)):
         times = np.linspace(0.0, 3.0 * tau, 400)
         c4 = dynamics.coherence_trace(netmodel.build_impurity_model(4, 1.0, kappa, 4.0), times)
         c400 = dynamics.coherence_trace(netmodel.build_impurity_model(400, 1.0, kappa, 4.0), times)
         sup = max(sup, float(np.max(np.abs(c4.values - c400.values))))
+        # the slow mode is the localized quasi-momentum's; its N=4 vs N=400 shift
+        k4, k400 = (max(analytics.impurity_quasimomentum_roots(1.0, kappa, 4.0, n),
+                        key=lambda k: k.imag) for n in (4, 400))
+        lam4, lam400 = analytics.quasimomentum_eigenvalues([k4, k400], 1.0, 4.0)
+        gaps.append(f"kappa={kappa}: {abs(lam4 - lam400):.1e}")
     size_ok = sup < 1e-3
     record_criterion(4, "impurity decay law and size independence",
                      rate_ok and size_ok,
-                     "; ".join(details) + f"; sup|C4-C400| {sup:.2e} vs 1e-3")
+                     "; ".join(details) + f"; sup|C4-C400| {sup:.2e} vs 1e-3"
+                     + "; slow-mode eigenvalue gap N=4 vs N=400 " + ", ".join(gaps))
     assert rate_ok
     assert size_ok, (
         f"sup-norm N=4 vs N=400 is {sup:.3e}: the finite-size eigenvalue "

@@ -137,7 +137,10 @@ def test_coherence_expm_method(tmp_path):
 @pytest.mark.parametrize("code, loaded", [
     ("import nhtop", False),
     ("import nhtop.cli; nhtop.cli.main(['model', '--out', os.devnull])", False),
-    ("import nhtop.cli; nhtop.cli.main(['spectrum', '--out', os.devnull])", True),
+    ("import nhtop.cli; nhtop.cli.main(['spectrum', '--out', os.devnull])", False),
+    ("import nhtop.cli; nhtop.cli.main(['disorder', '--out', os.devnull])", False),
+    ("import nhtop.cli; nhtop.cli.main(['coherence', '--method', 'expm', '--out', os.devnull])",
+     True),
 ])
 def test_scipy_linalg_loads_on_first_use(code, loaded):
     src = str(Path(nhtop.__file__).resolve().parents[1])

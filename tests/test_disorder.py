@@ -77,6 +77,38 @@ class TestEnsemble:
         r1 = np.sort(spectral.decompose(shifted).decay_rates)
         assert np.allclose(r0, r1, atol=1e-12)
 
+    def test_non_finite_trace_counts_as_failed(self, monkeypatch):
+        real = disorder.coherence_trace
+        calls = []
+
+        def spoiled(H, times):
+            calls.append(1)
+            tr = real(H, times)
+            if len(calls) == 3:  # call 1 is the clean trace, so this is realization 1
+                return dynamics.CoherenceTrace(tr.times, [tr.values[0], np.nan], tr.method)
+            return tr
+
+        monkeypatch.setattr(disorder, "coherence_trace", spoiled)
+        res = disorder.run_ensemble(_cfg(0.4, n_real=5))
+        assert (res.n_ok, res.n_failed) == (4, 1)
+        assert np.all(np.isfinite(res.mean_trace.values))
+
+    def test_failed_realization_is_masked_by_its_whole_row(self, monkeypatch):
+        real = disorder._realization_values
+
+        def spoiled(H0, cfg, r):
+            values = np.array(real(H0, cfg, r))
+            if r == 1:
+                values[-1] = np.nan  # column 0 stays finite
+            return values
+
+        monkeypatch.setattr(disorder, "_realization_values", spoiled)
+        res = disorder.run_ensemble(_cfg(0.4, n_real=5, store_realizations=True))
+        assert (res.n_ok, res.n_failed) == (4, 1)
+        assert res.realizations.shape == (4, 2)
+        assert np.all(np.isfinite(res.mean_trace.values))
+        assert np.all(np.isfinite(res.stderr_trace))
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             _cfg(-0.1)

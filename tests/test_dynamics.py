@@ -70,6 +70,11 @@ class TestCoherenceTrace:
         with pytest.raises(NumericError):
             dynamics.CoherenceTrace(np.array([0.0, 1.0]), np.array([0.9, 0.5]), "expm")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_trace_type_rejects_non_finite_values(self, bad):
+        with pytest.raises(NumericError, match="finite"):
+            dynamics.CoherenceTrace(np.array([0.0, 1.0, 2.0]), np.array([1.0, 0.5, bad]), "expm")
+
 
 class TestSuperoperatorTrace:
     def test_matches_reduced_dynamics(self):

@@ -193,6 +193,66 @@ def test_localization_fit_recovers_synthetic_profiles(stride, npts, length, left
     assert prof.length == pytest.approx(length, rel=1e-6)
 
 
+def _star_network(leaves: int) -> netmodel.EffectiveHamiltonian:
+    """Qubit at the centre of identical lossy leaves.
+
+    The qubit couples only to the symmetric leaf combination, so the other
+    ``leaves - 1`` combinations share one eigenvalue, -Gamma/2.
+    """
+    sites = (netmodel.SiteSpec(netmodel.QUBIT, 0.0),)
+    sites += (netmodel.SiteSpec(netmodel.CAVITY, 0.0, 1.0),) * leaves
+    edges = tuple((1, j, 1.0) for j in range(2, leaves + 2))
+    return netmodel.build_effective_hamiltonian(netmodel.NetworkSpec(sites, edges))
+
+
+class TestDegenerateEigenspace:
+    """A basis of a degenerate eigenspace need not be c-orthogonal, so the
+    left vectors conj(r_j) / conj(r_j^T r_j) miss the pairing check there
+    and ``decompose`` rebuilds them from the inverse of the right vectors.
+    "mixed" forces such a basis whatever basis LAPACK returns."""
+
+    @pytest.fixture(params=["lapack", "mixed"])
+    def star(self, request, monkeypatch):
+        if request.param == "mixed":
+            eig = np.linalg.eig
+
+            def mixed_eig(a):
+                w, v = eig(a)
+                idx = np.flatnonzero(np.abs(w + 0.5) < 1e-9)
+                mix = np.eye(idx.size) + np.diag(np.full(idx.size - 1, 1j), 1)
+                v[:, idx] = v[:, idx] @ mix
+                v[:, idx] /= np.linalg.norm(v[:, idx], axis=0)
+                return w, v
+
+            monkeypatch.setattr(np.linalg, "eig", mixed_eig)
+        H = _star_network(4)
+        sd = spectral.decompose(H)
+        degenerate = np.abs(sd.eigenvalues + 0.5) < 1e-9
+        assert np.count_nonzero(degenerate) == 3
+        if request.param == "mixed":
+            r = sd.right_vectors[:, degenerate]
+            assert np.max(np.abs(r.T @ r - np.diag(np.diag(r.T @ r)))) > 0.1
+        return H, sd
+
+    def test_weights_sum_to_one_at_every_site(self, star):
+        H, sd = star
+        for site in range(1, H.dim + 1):
+            assert abs(np.sum(spectral.overlap_weights(sd, site)) - 1) < 1e-12
+
+    def test_projectors_rebuild_the_generator(self, star):
+        H, sd = star
+        rebuilt = (sd.right_vectors * sd.eigenvalues[None, :]) @ sd.left_vectors.conj().T
+        assert np.max(np.abs(rebuilt - H.generator)) < 1e-12 * np.linalg.norm(H.generator)
+
+    def test_auto_trace_matches_expm(self, star):
+        H, _ = star
+        times = np.linspace(0.0, 20.0, 50)
+        auto = dynamics.coherence_trace(H, times)
+        assert auto.method == "spectral"
+        ref = dynamics.coherence_trace(H, times, method="expm")
+        assert np.max(np.abs(auto.values - ref.values)) < 1e-12
+
+
 def test_exceptional_point_reports_large_condition(monkeypatch):
     # two-site level merging: eigenvectors collapse, condition number blows up
     H = netmodel.build_impurity_model(2, 1.0, 1.0, 4.0)
@@ -217,11 +277,9 @@ class TestDecomposeCache:
         assert spectral.decompose(H) is spectral.decompose(H)
 
     def test_one_eigensolve_per_hamiltonian(self, monkeypatch):
-        import scipy.linalg
-
         calls = []
-        eig = scipy.linalg.eig
-        monkeypatch.setattr(scipy.linalg, "eig", lambda *a, **k: calls.append(1) or eig(*a, **k))
+        eig = np.linalg.eig
+        monkeypatch.setattr(np.linalg, "eig", lambda *a, **k: calls.append(1) or eig(*a, **k))
         H = netmodel.build_ssh_model(6, 1.0, 1.8, 0.5)
         sd = spectral.decompose(H)
         spectral.spectrum_rows(sd)
