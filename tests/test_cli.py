@@ -140,7 +140,10 @@ def test_coherence_expm_method(tmp_path):
     ("import nhtop.cli; nhtop.cli.main(['spectrum', '--out', os.devnull])", False),
     ("import nhtop.cli; nhtop.cli.main(['disorder', '--out', os.devnull])", False),
     ("import nhtop.cli; nhtop.cli.main(['coherence', '--method', 'expm', '--out', os.devnull])",
-     True),
+     False),
+    ("import nhtop.cli; nhtop.cli.main(['coherence', '--method', 'full', '--N', '4', "
+     "'--out', os.devnull])", False),
+    ("import nhtop; nhtop.expm_oracle(nhtop.build_ssh_model(3, 1.0, 1.8, 0.5), 1.0)", True),
 ])
 def test_scipy_linalg_loads_on_first_use(code, loaded):
     src = str(Path(nhtop.__file__).resolve().parents[1])

@@ -52,6 +52,29 @@ class TestCoherenceTrace:
         with pytest.raises(NumericError):
             dynamics.coherence_trace(H, [0.0, 1.0], method="spectral")
 
+    def test_auto_falls_back_at_exceptional_point(self):
+        # condition 3.9e7 stays below CONDITION_FALLBACK, but the weights are
+        # +-1.9e7 and cancel to 1: the rounding bound eps*sum|c_j| sends auto
+        # to the expm route, which is exact to roundoff here
+        H = netmodel.build_impurity_model(2, 1.0, 1.0, 4.0)
+        assert spectral.decompose(H).condition < dynamics.CONDITION_FALLBACK
+        t = np.linspace(0, 20, 41)
+        tr = dynamics.coherence_trace(H, t)
+        assert tr.method == "expm"
+        assert np.max(np.abs(tr.values - (1 + t) * np.exp(-t))) < 1e-12
+
+    @pytest.mark.parametrize("bad", [[0.0, np.nan, 1.0], [0.0, 1.0, np.inf]])
+    @pytest.mark.parametrize("method", ["auto", "spectral", "expm"])
+    def test_non_finite_times_rejected(self, method, bad):
+        H = netmodel.build_ssh_model(4, 1.0, 1.8, 0.5)
+        with pytest.raises(ValueError, match="finite"):
+            dynamics.coherence_trace(H, bad, method)
+
+    @pytest.mark.parametrize("bad", [[0.0, np.nan, 1.0], [0.0, 1.0, np.inf]])
+    def test_trace_type_rejects_non_finite_times(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            dynamics.CoherenceTrace(np.array(bad), np.array([1.0, 0.5, 0.5]), "expm")
+
     @pytest.mark.parametrize("method", ["spectral", "expm"])
     def test_caller_time_grid_stays_writeable(self, method):
         grid = np.linspace(0.0, 5.0, 6)
@@ -99,6 +122,58 @@ class TestSuperoperatorTrace:
         for a in traces:
             for b in traces:
                 assert np.max(np.abs(a - b)) < 1e-10
+
+    @pytest.mark.parametrize("bad", [[0.0, np.nan, 1.0], [0.0, 1.0, np.inf]])
+    def test_non_finite_times_rejected(self, bad):
+        sop = netmodel.build_full_superoperator(netmodel.ssh_network(3, 1.0, 1.8, 0.5))
+        with pytest.raises(ValueError, match="finite"):
+            dynamics.coherence_trace_superoperator(sop, bad)
+
+
+def _pade_values(H, times):
+    """The per-point reference: |exp(t L)_11| from scipy's Pade expm."""
+    return np.array([abs(dynamics.expm_oracle(H, t)[0, 0]) for t in times])
+
+
+class TestTaylorPropagator:
+    """The stepped expm and superoperator routes against per-point Pade."""
+
+    @pytest.mark.parametrize("grid", [dynamics.log_time_grid(100.0, 400),
+                                      np.linspace(0.0, 100.0, 400)], ids=["log", "uniform"])
+    def test_ssh_50(self, grid):
+        H = netmodel.build_ssh_model(50, 1.0, 1.8, 0.5)
+        got = dynamics.coherence_trace(H, grid, method="expm").values
+        # every 40th point, ending at t=100, keeps the reference cheap
+        assert np.max(np.abs(got[39::40] - _pade_values(H, grid[39::40]))) < 1e-12
+
+    @pytest.mark.parametrize("grid", [dynamics.log_time_grid(100.0, 100),
+                                      np.linspace(0.0, 100.0, 100)], ids=["log", "uniform"])
+    def test_ssh_9_superoperator(self, grid):
+        spec = netmodel.ssh_network(9, 1.0, 1.8, 0.5)
+        sop = netmodel.build_full_superoperator(spec)
+        got = dynamics.coherence_trace_superoperator(sop, grid).values
+        want = _pade_values(netmodel.build_effective_hamiltonian(spec), grid)
+        assert np.max(np.abs(got - want)) < 1e-12
+
+    @pytest.mark.parametrize("gamma", [4.0, 4.0001])
+    def test_non_normal_hump_at_exceptional_point(self, gamma):
+        H = netmodel.build_impurity_model(2, 1.0, 1.0, gamma)
+        t = np.linspace(0.0, 20.0, 200)
+        got = dynamics.coherence_trace(H, t, method="expm").values
+        assert np.max(np.abs(got - _pade_values(H, t))) < 1e-12
+
+    def test_large_norm(self):
+        H = netmodel.build_impurity_model(100, 1.0, 0.5, 40.0)
+        t = np.linspace(0.0, 100.0, 11)
+        got = dynamics.coherence_trace(H, t, method="expm").values
+        assert np.max(np.abs(got - _pade_values(H, t))) < 1e-12
+
+    def test_grid_starting_late_with_repeated_point(self):
+        H = netmodel.build_impurity_model(100, 1.0, 0.5, 40.0)
+        t = np.array([0.5, 0.5, 1.0, 7.0, 7.0, 30.0])
+        got = dynamics.coherence_trace(H, t, method="expm").values
+        assert got[0] == got[1] and got[3] == got[4]
+        assert np.max(np.abs(got - _pade_values(H, t))) < 1e-12
 
 
 class TestExpmOracle:
