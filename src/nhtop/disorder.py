@@ -11,6 +11,18 @@ on any platform:
 * uniform variate: top 53 bits of the output, scaled to [0, 1), then mapped
   affinely to [-mu, mu)
 
+Realizations are solved a chunk at a time: the chunk's detunings are drawn
+with one vectorized SplitMix64, the detuned generators are stacked into one
+``(R_c, N, N)`` array and ``dynamics._spectral_batch`` evaluates them with one
+stacked eigensolve and one stacked ``exp``.  A realization that fails any of
+the spectral route's checks (pairing, condition, weight completeness and
+cancellation, or the trace's own finiteness, sign and C(0) checks) is
+evaluated alone by ``coherence_trace``, which takes the ``inv`` or ``expm``
+fallback exactly as for a single generator; every row equals that
+per-realization trace bit for bit.  A chunk holds as many realizations as
+keep each stacked temporary, ``(R_c, N, N)`` or ``(R_c, T, N)``, near
+``2^14`` complex elements (256 KiB).
+
 Aggregation is indexed by realization number and accumulated relative to the
 clean (mu = 0) trace, so the mean is independent of evaluation order and a
 zero-width ensemble equals the clean trace exactly.
@@ -18,17 +30,21 @@ zero-width ensemble equals the clean trace exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
 from .errors import NumericError
-from . import netmodel
+from . import dynamics, netmodel
 from .dynamics import CoherenceTrace, coherence_trace
 
 GOLDEN = 0x9E3779B97F4A7C15
 _MASK = (1 << 64) - 1
+
+# complex elements per stacked temporary of one chunk
+_CHUNK_ELEMENTS = 2**14
 
 
 def splitmix64_stream(state: int):
@@ -47,11 +63,25 @@ def realization_seed(base_seed: int, r: int) -> int:
     return (base_seed + (r + 1) * GOLDEN) & _MASK
 
 
+def _draw_rows(base_seed: int, first: int, count: int, n: int, mu: float) -> np.ndarray:
+    """Detunings of realizations ``first .. first + count - 1``, one row each:
+    ``splitmix64_stream`` evaluated in numpy ``uint64`` wrapping arithmetic.
+
+    Word k (from 1) of realization ``first + i`` is the finalizer applied to
+    ``realization_seed(base_seed, first) + (i + k) * GOLDEN``.
+    """
+    offsets = np.arange(count, dtype=np.uint64)[:, None] + np.arange(1, n + 1, dtype=np.uint64)
+    z = np.uint64(realization_seed(base_seed, first)) + offsets * np.uint64(GOLDEN)
+    z = (z ^ (z >> 30)) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> 27)) * np.uint64(0x94D049BB133111EB)
+    z ^= z >> 31
+    u = (z >> 11).astype(float) * 2.0**-53
+    return mu * (2.0 * u - 1.0)
+
+
 def draw_detunings(base_seed: int, r: int, n: int, mu: float) -> np.ndarray:
     """Detunings for realization r: n uniform variates on [-mu, mu)."""
-    stream = splitmix64_stream(realization_seed(base_seed, r))
-    u = np.array([next(stream) >> 11 for _ in range(n)], dtype=float) * 2.0**-53
-    return mu * (2.0 * u - 1.0)
+    return _draw_rows(base_seed, r, 1, n, mu)[0]
 
 
 @dataclass(frozen=True)
@@ -69,8 +99,8 @@ class DisorderConfig:
     store_realizations: bool = False
 
     def __post_init__(self):
-        if self.mu < 0:
-            raise ValueError("mu must be >= 0")
+        if not (math.isfinite(self.mu) and self.mu >= 0):
+            raise ValueError("mu must be finite and >= 0")
         if self.n_realizations < 1:
             raise ValueError("n_realizations must be >= 1")
         t = np.array(self.times, dtype=float)  # a copy: the caller's grid stays writeable
@@ -102,6 +132,33 @@ def _realization_values(H0, cfg: DisorderConfig, r: int) -> np.ndarray:
     return np.asarray(coherence_trace(H, cfg.times).values)
 
 
+def _chunk_rows(n: int, n_times: int) -> int:
+    """Realizations per chunk: ``(R_c, n, n)`` and ``(R_c, n_times, n)`` stay
+    within about ``_CHUNK_ELEMENTS``."""
+    return max(1, _CHUNK_ELEMENTS // max(n * n, n * n_times))
+
+
+def _chunk_values(H0, cfg: DisorderConfig, first: int, count: int) -> np.ndarray:
+    """C(t) rows of realizations ``first .. first + count - 1``; a failed
+    realization's row is NaN."""
+    mu = _draw_rows(cfg.base_seed, first, count, cfg.N, cfg.mu)
+    if cfg.site_mask is not None:
+        mu = np.where(cfg.site_mask, mu, 0.0)
+    detuning = np.zeros((count, cfg.N, cfg.N))
+    sites = np.arange(cfg.N)
+    detuning[:, sites, sites] = mu  # np.diag per row, as apply_detuning_disorder adds it
+    try:
+        values, ok = dynamics._spectral_batch(-1j * (H0.matrix + detuning), cfg.times)
+    except np.linalg.LinAlgError:
+        values, ok = np.empty((count, cfg.times.size)), np.zeros(count, dtype=bool)
+    for i in np.flatnonzero(~ok):
+        try:
+            values[i] = _realization_values(H0, cfg, first + int(i))
+        except (NumericError, np.linalg.LinAlgError):
+            values[i] = np.nan
+    return values
+
+
 def run_ensemble(cfg: DisorderConfig) -> EnsembleResult:
     """Average the coherence over detuning realizations.
 
@@ -114,13 +171,11 @@ def run_ensemble(cfg: DisorderConfig) -> EnsembleResult:
     base = np.asarray(clean.values)
 
     n = cfg.n_realizations
-    table = np.full((n, base.size), np.nan)
-
-    for r in range(n):
-        try:
-            table[r, :] = _realization_values(H0, cfg, r)
-        except (NumericError, np.linalg.LinAlgError):
-            pass
+    table = np.empty((n, base.size))
+    step = _chunk_rows(cfg.N, base.size)
+    for first in range(0, n, step):
+        count = min(step, n - first)
+        table[first:first + count] = _chunk_values(H0, cfg, first, count)
 
     ok = np.all(np.isfinite(table), axis=1)
     n_ok = int(np.count_nonzero(ok))

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError
+from . import spectral
 from .netmodel import EffectiveHamiltonian, Superoperator
-from .spectral import SpectralData, decompose, overlap_weights
 
 METHODS = ("spectral", "expm", "full_superoperator")
 
@@ -45,6 +45,7 @@ _TAYLOR_THETA = np.array([
     3.31, 3.54, 4.7, 6.0, 7.2, 8.5, 9.9,
 ])
 _UNIT_ROUNDOFF = 2.0**-53
+_EPS = np.finfo(float).eps
 
 
 def _checked_times(times) -> np.ndarray:
@@ -74,17 +75,32 @@ class CoherenceTrace:
         v = np.array(self.values, dtype=float)
         if t.shape != v.shape:
             raise ValueError("times and values must be matching 1-d arrays")
-        if not np.all(np.isfinite(v)):
+        non_finite, negative, off_at_zero = _trace_faults(t, v)
+        if non_finite:
             raise NumericError("coherence values must be finite")
-        if np.any(v < -1e-12):
+        if negative:
             raise NumericError("coherence values must be non-negative")
-        if t.size and t[0] == 0.0 and abs(v[0] - 1.0) > 1e-12:
+        if off_at_zero:
             raise NumericError(f"C(0) = {v[0]!r} deviates from 1 beyond 1e-12")
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}")
         for name, arr in (("times", t), ("values", v)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+
+
+def _trace_faults(t: np.ndarray, v: np.ndarray):
+    """The checks a ``CoherenceTrace`` makes, for each row of samples ``v``
+    (shape ``(..., T)``) on the grid ``t``: ``(non_finite, negative,
+    off_at_zero)``, where ``off_at_zero`` means ``t[0] == 0`` and
+    ``|C(0) - 1| > 1e-12``."""
+    non_finite = ~np.isfinite(v).all(axis=-1)
+    negative = (v < -1e-12).any(axis=-1)
+    if t.size and t[0] == 0.0:
+        off_at_zero = np.abs(v[..., 0] - 1.0) > 1e-12
+    else:
+        off_at_zero = np.zeros(v.shape[:-1], dtype=bool)
+    return non_finite, negative, off_at_zero
 
 
 def log_time_grid(t_max: float, n_points: int = 400, t_min: float = 1e-2) -> np.ndarray:
@@ -95,8 +111,48 @@ def log_time_grid(t_max: float, n_points: int = 400, t_min: float = 1e-2) -> np.
     return np.geomspace(t_min, t_max, n_points)
 
 
-def _spectral_values(sd: SpectralData, c: np.ndarray, times: np.ndarray) -> np.ndarray:
-    return np.abs(np.exp(np.outer(times, sd.eigenvalues)) @ c)
+def _qubit_weights(condition, right: np.ndarray, left: np.ndarray):
+    """Qubit-site weights ``c_j = r_j[0] conj(l_j[0])`` of a stack of sorted
+    decompositions (``right``, ``left`` of shape ``(R, n, n)``) and whether
+    the spectral route is reliable for each: ``condition`` (shape ``(R,)``)
+    is below ``CONDITION_FALLBACK`` and flags no exceptional point, the
+    weights sum to 1 within 1e-12 (completeness at the qubit site keeps
+    C(0) = 1 within the trace type's own tolerance), and the mode sum's
+    rounding bound ``eps * sum_j |c_j|``, which grows near exceptional
+    points, stays below 1e-12."""
+    c = right[..., 0, :] * np.conj(left[..., 0, :])
+    reliable = ~spectral._degenerate(condition) & (condition < CONDITION_FALLBACK)
+    reliable &= np.abs(c.sum(axis=-1) - 1.0) <= 1e-12
+    reliable &= _EPS * np.abs(c).sum(axis=-1) <= 1e-12
+    return c, reliable
+
+
+def _spectral_values(w: np.ndarray, c: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """``|sum_j c_j exp(lambda_j t)|`` for stacks ``w``, ``c`` of shape ``(R, n)``:
+    one ``(R, T, n)`` exponential and one stacked matrix-vector product."""
+    return np.abs(np.exp(times[:, None] * w[..., None, :]) @ c[..., None])[..., 0]
+
+
+def _spectral_batch(L: np.ndarray, times: np.ndarray):
+    """Spectral C(t) of a stack of generators ``L`` (shape ``(R, n, n)``):
+    ``(values, ok)``, shapes ``(R, T)`` and ``(R,)``.
+
+    One stacked ``np.linalg.eig``, then the left vectors, pairing and
+    condition of ``spectral._c_product_left``, the reliability test of
+    ``_qubit_weights`` and the checks of ``CoherenceTrace``, each with a
+    leading batch axis.  Where ``ok``, a row is bit for bit the trace that
+    ``coherence_trace`` returns for that generator; any other row must be
+    evaluated one generator at a time.  Raises ``np.linalg.LinAlgError`` when
+    the stacked solve fails.
+    """
+    w, vr = np.linalg.eig(L)
+    with np.errstate(all="ignore"):  # rows that fail a check are discarded
+        left, condition, paired = spectral._c_product_left(vr)
+        w, vr, left = spectral._sorted_modes(w, vr, left)
+        c, ok = _qubit_weights(condition, vr, left)
+        values = _spectral_values(w, c, times)
+    non_finite, negative, off_at_zero = _trace_faults(times, values)
+    return values, ok & paired & ~(non_finite | negative | off_at_zero)
 
 
 def _propagate(A: np.ndarray, times: np.ndarray, index: int) -> np.ndarray:
@@ -170,17 +226,11 @@ def coherence_trace(H: EffectiveHamiltonian, times, method: str = "auto") -> Coh
     if method not in ("auto", "spectral", "expm"):
         raise ValueError("method must be 'auto', 'spectral' or 'expm'")
     if method in ("auto", "spectral"):
-        sd = decompose(H)
-        healthy = not sd.degenerate_warning and sd.condition < CONDITION_FALLBACK
-        if healthy:
-            # completeness at the qubit site keeps C(0) = 1 within the trace
-            # type's own tolerance; the rounding of the mode sum is bounded
-            # by eps * sum_j |c_j|, which grows near exceptional points
-            c = overlap_weights(sd, 1)
-            healthy = (abs(complex(np.sum(c)) - 1.0) <= 1e-12
-                       and np.finfo(float).eps * float(np.sum(np.abs(c))) <= 1e-12)
-        if healthy:
-            return CoherenceTrace(t, _spectral_values(sd, c, t), "spectral")
+        sd = spectral.decompose(H)
+        c, reliable = _qubit_weights(np.array([sd.condition]), sd.right_vectors[None],
+                                     sd.left_vectors[None])
+        if reliable[0]:
+            return CoherenceTrace(t, _spectral_values(sd.eigenvalues[None], c, t)[0], "spectral")
         if method == "spectral":
             raise NumericError(
                 f"spectral route unreliable (condition {sd.condition:.3g}); use method='auto'"

@@ -4,7 +4,10 @@
 normalized so that the rank-one projectors ``P_j = r_j l_j^dag`` resolve the
 identity.  Everything downstream (coherence traces, quasi-dark mode searches,
 localization fits) is built on top of this decomposition, which is computed
-once per ``EffectiveHamiltonian`` and cached on it.
+once per ``EffectiveHamiltonian`` and cached on it.  The steps after the
+eigensolve (left vectors, pairing, condition, mode order) take a leading
+batch axis: ``decompose`` runs them on a batch of one, and disorder ensembles
+run them on a stack of realizations.
 """
 
 from __future__ import annotations
@@ -76,22 +79,18 @@ def decompose(H: EffectiveHamiltonian) -> SpectralData:
         raise NumericError("generator contains non-finite entries")
     w, vr = np.linalg.eig(L)
 
-    rtr = np.einsum("ij,ij->j", vr, vr)
-    if np.min(np.abs(rtr)) < 1e-300:  # a self-orthogonal r_j: exceptional point
-        left, condition = vr.conj(), math.inf
-    else:
-        left = vr.conj() / rtr.conj()
-        if np.max(np.abs(left.conj().T @ vr - np.eye(H.dim))) > _PAIRING_TOL:
-            left = np.linalg.inv(vr).conj().T
-        # ||l_j|| for unit r_j: the condition number of eigenvalue j
-        condition = float(np.max(np.linalg.norm(left, axis=0)))
-    degenerate = not np.isfinite(condition) or condition > DEGENERACY_CONDITION
+    left, condition, paired = _c_product_left(vr[None])
+    left, condition = left[0], float(condition[0])
+    if not paired[0]:
+        left = np.linalg.inv(vr).conj().T
+        condition = float(_condition(left[None])[0])
+    degenerate = bool(_degenerate(condition))
 
-    order = np.lexsort((w.imag, -w.real))
+    w, vr, left = (a[0] for a in _sorted_modes(w[None], vr[None], left[None]))
     sd = SpectralData(
-        eigenvalues=w[order].copy(),
-        right_vectors=vr[:, order].copy(),
-        left_vectors=left[:, order].copy(),
+        eigenvalues=w,
+        right_vectors=vr,
+        left_vectors=left,
         condition=condition,
         degenerate_warning=degenerate,
     )
@@ -101,6 +100,49 @@ def decompose(H: EffectiveHamiltonian) -> SpectralData:
         object.__setattr__(H, "_spectral", (thresholds, sd))
     return sd
 
+
+def _c_product_left(vr: np.ndarray):
+    """Left vectors of a stack of right eigenvector matrices ``vr``, shape
+    ``(R, n, n)``, of complex-symmetric generators.
+
+    Returns ``(left, condition, paired)`` with shapes ``(R, n, n)``, ``(R,)``
+    and ``(R,)``.  Since ``L == L.T``, ``l_j = conj(r_j) / conj(r_j^T r_j)``.
+    A row with a self-orthogonal ``r_j`` (``|r_j^T r_j| < 1e-300``: an
+    exceptional point) gets ``left = conj(vr)`` and ``condition = inf``.  Any
+    other row is ``paired`` unless ``max |l_j^dag r_k - delta_jk|`` exceeds
+    ``_PAIRING_TOL``; an unpaired row's ``left`` and ``condition`` are not
+    the inverse's and must be rebuilt or discarded by the caller.
+    """
+    rtr = np.einsum("...ij,...ij->...j", vr, vr)
+    exceptional = np.min(np.abs(rtr), axis=-1) < 1e-300
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        left = vr.conj() / rtr.conj()[..., None, :]
+        if exceptional.any():
+            left[exceptional] = vr[exceptional].conj()
+        pairing = np.abs(left.conj().swapaxes(-1, -2) @ vr - np.eye(vr.shape[-1]))
+        pairing = pairing.max(axis=(-2, -1))
+        condition = np.where(exceptional, math.inf, _condition(left))
+    return left, condition, exceptional | ~(pairing > _PAIRING_TOL)
+
+
+def _condition(left: np.ndarray) -> np.ndarray:
+    """``max_j ||l_j||`` for each matrix of a ``(R, n, n)`` stack: for unit
+    ``r_j``, the largest eigenvalue condition number."""
+    return np.linalg.norm(left, axis=-2).max(axis=-1)
+
+
+def _degenerate(condition):
+    """Whether ``condition`` flags a near-defective (exceptional) point."""
+    return ~np.isfinite(condition) | (condition > DEGENERACY_CONDITION)
+
+
+def _sorted_modes(w: np.ndarray, vr: np.ndarray, left: np.ndarray):
+    """Each row's modes by decay rate ``-Re(lambda)`` ascending (ties by
+    ``Im(lambda)``), for stacks of shape ``(R, n)`` and ``(R, n, n)``."""
+    order = np.lexsort((w.imag, -w.real), axis=-1)
+    rows = np.arange(w.shape[0])[:, None]
+    cols = (rows[:, :, None], np.arange(w.shape[1])[:, None], order[:, None, :])
+    return w[rows, order], vr[cols], left[cols]
 
 def overlap_weights(sd: SpectralData, site: int = 1) -> np.ndarray:
     """Mode weights c_j = <site|r_j><l_j|site> at a 1-based site.

@@ -184,6 +184,14 @@ def test_disorder_command(tmp_path):
     assert all(r[3] == "20" for r in rows)
 
 
+@pytest.mark.parametrize("mu", ["nan", "inf"])
+def test_disorder_rejects_non_finite_mu(tmp_path, capsys, mu):
+    out = tmp_path / "dis.csv"
+    assert main(["disorder", "--model", "ssh", "--N", "3", "--mu", mu,
+                 "--n-realizations", "4", "--t-points", "3", "--out", str(out)]) == 2
+    assert "mu must be finite" in capsys.readouterr().err
+
+
 def test_site_mask_rejects_characters_other_than_0_and_1(tmp_path, capsys):
     args = ["disorder", "--model", "ssh", "--N", "3", "--n-realizations", "4",
             "--t-points", "3", "--out", str(tmp_path / "dis.csv")]

@@ -31,6 +31,28 @@ class TestPrng:
         assert np.var(vals) == pytest.approx(0.8**2 / 3, rel=0.05)
 
 
+def _per_realization_draw(base_seed, r, n, mu):
+    """The draw as one realization's SplitMix64 stream, word by word."""
+    stream = disorder.splitmix64_stream(disorder.realization_seed(base_seed, r))
+    u = np.array([next(stream) >> 11 for _ in range(n)], dtype=float) * 2.0**-53
+    return mu * (2.0 * u - 1.0)
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1, -5, 2**64 + 1])
+def test_vectorized_draw_is_the_splitmix64_stream(seed):
+    n, step = 7, disorder._chunk_rows(7, 200)
+    first, count = step - 3, 7  # rows that cross a chunk boundary
+    rows = disorder._draw_rows(seed, first, count, n, 0.5)
+    for i, r in enumerate(range(first, first + count)):
+        stream = disorder.splitmix64_stream(disorder.realization_seed(seed, r))
+        words = np.array([next(stream) >> 11 for _ in range(n)], dtype=np.uint64)
+        # with mu = 1/2 a detuning is u - 1/2 exactly, so u's 53 bits come back
+        assert np.array_equal(((rows[i] + 0.5) * 2.0**53).astype(np.uint64), words)
+        assert np.array_equal(rows[i], _per_realization_draw(seed, r, n, 0.5))
+        assert np.array_equal(disorder.draw_detunings(seed, r, n, 0.37),
+                              _per_realization_draw(seed, r, n, 0.37))
+
+
 class TestEnsemble:
     def test_zero_width_equals_clean_bit_exactly(self):
         res = disorder.run_ensemble(_cfg(0.0))
@@ -78,31 +100,41 @@ class TestEnsemble:
         assert np.allclose(r0, r1, atol=1e-12)
 
     def test_non_finite_trace_counts_as_failed(self, monkeypatch):
+        # realization 1 fails a stacked check, so it is evaluated alone, and
+        # that per-realization trace is non-finite too
+        stacked = dynamics._spectral_batch
+
+        def unreliable_row_1(L, times):
+            values, ok = stacked(L, times)
+            ok[1] = False  # the first chunk holds realizations 0..4
+            return values, ok
+
         real = disorder.coherence_trace
         calls = []
 
         def spoiled(H, times):
             calls.append(1)
             tr = real(H, times)
-            if len(calls) == 3:  # call 1 is the clean trace, so this is realization 1
+            if len(calls) == 2:  # call 1 is the clean trace, so this is realization 1
                 return dynamics.CoherenceTrace(tr.times, [tr.values[0], np.nan], tr.method)
             return tr
 
+        monkeypatch.setattr(dynamics, "_spectral_batch", unreliable_row_1)
         monkeypatch.setattr(disorder, "coherence_trace", spoiled)
         res = disorder.run_ensemble(_cfg(0.4, n_real=5))
+        assert len(calls) == 2
         assert (res.n_ok, res.n_failed) == (4, 1)
         assert np.all(np.isfinite(res.mean_trace.values))
 
     def test_failed_realization_is_masked_by_its_whole_row(self, monkeypatch):
-        real = disorder._realization_values
+        stacked = dynamics._spectral_batch
 
-        def spoiled(H0, cfg, r):
-            values = np.array(real(H0, cfg, r))
-            if r == 1:
-                values[-1] = np.nan  # column 0 stays finite
-            return values
+        def spoiled(L, times):
+            values, ok = stacked(L, times)
+            values[1, -1] = np.nan  # realization 1; column 0 stays finite
+            return values, ok
 
-        monkeypatch.setattr(disorder, "_realization_values", spoiled)
+        monkeypatch.setattr(dynamics, "_spectral_batch", spoiled)
         res = disorder.run_ensemble(_cfg(0.4, n_real=5, store_realizations=True))
         assert (res.n_ok, res.n_failed) == (4, 1)
         assert res.realizations.shape == (4, 2)
@@ -112,6 +144,9 @@ class TestEnsemble:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             _cfg(-0.1)
+        for mu in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                _cfg(mu)
         with pytest.raises(ValueError):
             _cfg(0.1, n_real=0)
         with pytest.raises(ValueError):
@@ -138,3 +173,73 @@ def test_csv_output(tmp_path):
     assert len(data) == 3
     assert data[1].endswith(",5")
     assert any(l.startswith("# mu=") for l in lines)
+
+
+THREE_SITE_PARAMS = {"J1": 1.0, "J2": 0.3, "J3": 2.0, "J": 0.7, "eps1": 0.0, "eps2": 0.0,
+                     "Gamma": 0.5}
+EP_PARAMS = {"J": 1.0, "kappa": 1.0, "Gamma": 4.0}  # impurity N=2: an exceptional point
+
+
+def _assert_rows_match_per_realization(cfg):
+    res = disorder.run_ensemble(cfg)
+    assert res.n_failed == 0
+    H0 = netmodel.build_model(cfg.model, cfg.N, cfg.params)
+    rows = np.array([disorder._realization_values(H0, cfg, r) for r in range(cfg.n_realizations)])
+    assert np.array_equal(res.realizations, rows)
+    return res
+
+
+class TestStackedPath:
+    """Each realization's row from the stacked spectral batch equals, bit for
+    bit, the per-realization ``coherence_trace`` it replaces."""
+
+    def test_ssh(self):
+        _assert_rows_match_per_realization(
+            _cfg(0.4, n_real=40, times=dynamics.log_time_grid(100.0, 60), store_realizations=True))
+
+    def test_three_site_over_several_chunks(self):
+        times = dynamics.log_time_grid(100.0, 40)
+        cfg = disorder.DisorderConfig("three-site", 30, THREE_SITE_PARAMS, 0.35, 30, 11, times,
+                                      store_realizations=True)
+        assert cfg.n_realizations > disorder._chunk_rows(30, times.size)
+        _assert_rows_match_per_realization(cfg)
+
+    def test_site_mask(self):
+        mask = (True, False, True, True, False, False, True)
+        _assert_rows_match_per_realization(
+            _cfg(0.8, n_real=30, seed=-5, times=np.linspace(0.0, 30.0, 31), site_mask=mask,
+                 store_realizations=True))
+
+    @pytest.mark.parametrize("mu", [0.0, 1e-6])
+    def test_exceptional_point_falls_back_on_every_row(self, mu, monkeypatch):
+        real = disorder.coherence_trace
+        methods = []
+
+        def recorded(H, times):
+            tr = real(H, times)
+            methods.append(tr.method)
+            return tr
+
+        monkeypatch.setattr(disorder, "coherence_trace", recorded)
+        cfg = disorder.DisorderConfig("impurity", 2, EP_PARAMS, mu, 12, 5,
+                                      np.linspace(0.0, 10.0, 21), store_realizations=True)
+        res = _assert_rows_match_per_realization(cfg)
+        # the clean trace, each realization once from the ensemble and once as
+        # the reference: every one of them on the expm route
+        assert methods == ["expm"] * (1 + 2 * cfg.n_realizations)
+        if mu == 0.0:
+            assert np.array_equal(res.mean_trace.values, res.clean_trace.values)
+
+    def test_one_stacked_eigensolve_per_chunk(self, monkeypatch):
+        eig = np.linalg.eig
+        shapes = []
+        monkeypatch.setattr(np.linalg, "eig", lambda a: shapes.append(np.shape(a)) or eig(a))
+        times = dynamics.log_time_grid(100.0, 50)
+        cfg = disorder.DisorderConfig("three-site", 30, THREE_SITE_PARAMS, 0.35, 25, 11, times)
+        res = disorder.run_ensemble(cfg)
+        assert res.n_ok == 25
+        step = disorder._chunk_rows(30, times.size)
+        chunks = [min(step, 25 - first) for first in range(0, 25, step)]
+        assert len(chunks) > 1
+        # one solve for the clean trace, then one per chunk and none per realization
+        assert shapes == [(30, 30)] + [(c, 30, 30) for c in chunks]

@@ -99,6 +99,44 @@ class TestCoherenceTrace:
             dynamics.CoherenceTrace(np.array([0.0, 1.0, 2.0]), np.array([1.0, 0.5, bad]), "expm")
 
 
+class TestSpectralBatch:
+    """``_spectral_batch`` evaluates a stack of generators at once and flags
+    every row the spectral route of ``coherence_trace`` would not take."""
+
+    H = netmodel.apply_detuning_disorder(netmodel.build_ssh_model(4, 1.0, 1.8, 0.5),
+                                         [0.1, -0.2, 0.0, 0.3])
+    EP = netmodel.build_impurity_model(2, 1.0, 1.0, 4.0)  # exceptional point
+
+    def test_reliable_rows_equal_coherence_trace(self):
+        t = np.linspace(0.0, 20.0, 41)
+        values, ok = dynamics._spectral_batch(np.array([self.H.generator] * 2), t)
+        assert ok.tolist() == [True, True]
+        assert np.array_equal(values, [dynamics.coherence_trace(self.H, t).values] * 2)
+
+    def test_exceptional_point_is_flagged(self):
+        t = np.linspace(0.0, 20.0, 41)
+        _, ok = dynamics._spectral_batch(np.array([self.EP.generator] * 2), t)
+        assert not np.any(ok)
+        assert dynamics.coherence_trace(self.EP, t).method == "expm"
+
+    def test_row_failing_a_trace_check_is_flagged(self, monkeypatch):
+        values_of = dynamics._spectral_values
+
+        def spoiled(w, c, times):
+            v = values_of(w, c, times)
+            v[0, 1], v[1, 0], v[2, 2] = np.nan, 0.5, -1.0  # non-finite, C(0) != 1, negative
+            return v
+
+        monkeypatch.setattr(dynamics, "_spectral_values", spoiled)
+        _, ok = dynamics._spectral_batch(np.array([self.H.generator] * 4), np.linspace(0.0, 2.0, 5))
+        assert ok.tolist() == [False, False, False, True]
+
+    def test_unpaired_rows_are_flagged(self, monkeypatch):
+        monkeypatch.setattr(spectral, "_PAIRING_TOL", -1.0)  # decompose would rebuild from inv
+        _, ok = dynamics._spectral_batch(np.array([self.H.generator]), np.linspace(0.0, 2.0, 5))
+        assert not ok[0]
+
+
 class TestSuperoperatorTrace:
     def test_matches_reduced_dynamics(self):
         spec = netmodel.ssh_network(5, 1.0, 1.8, 0.5)
