@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import RootFindingError
 from . import netmodel
-from .spectral import decompose, site_overlap
+from .spectral import decompose, overlap_weights, site_overlap
 
 _NEWTON_MAX_ITER = 200
 
@@ -266,7 +266,6 @@ class SshEvenPrediction:
     lambda_minus: complex | None = None
     tau_coh: float | None = None
     overlap: float | None = None
-    overlap_sinh_form: float | None = None
     e_y_first_order: float | None = None
 
     @property
@@ -315,9 +314,7 @@ def ssh_even_prediction(N: int, J1: float, J2: float, Gamma: float) -> SshEvenPr
 
         (1 - x^2) + x^N (1 - x^2)^2 [(N + 1) - (1 - x^2) J1^2 / (x^2 Gamma^2)]
 
-    which is the form the benchmark table reproduces; ``overlap_sinh_form``
-    keeps the raw sinh-quotient expression for comparison (it degrades at
-    small N and is not used downstream).
+    which is the form the benchmark table reproduces.
     """
     if N < 4 or N % 2:
         raise ValueError("N must be even and >= 4")
@@ -338,13 +335,6 @@ def ssh_even_prediction(N: int, J1: float, J2: float, Gamma: float) -> SshEvenPr
         (N + 1.0) - (1.0 - x**2) / x**2 * J1**2 / Gamma**2
     )
 
-    y_inf = math.log(d)
-    lam_plus_h = -1j * rate
-    num = 4.0 * math.sinh(N * y_inf / 2.0) ** 2
-    den = math.sinh((N + 1) * y_inf) / math.sinh(y_inf) - (N + 1.0)
-    frac = (lam_plus_h + 1j * Gamma) / (2.0 * lam_plus_h + 1j * Gamma)
-    sinh_form = float((num / den) * frac.real)
-
     return SshEvenPrediction(
         N=N,
         d=d,
@@ -354,7 +344,6 @@ def ssh_even_prediction(N: int, J1: float, J2: float, Gamma: float) -> SshEvenPr
         lambda_minus=lam_minus,
         tau_coh=tau_coh,
         overlap=float(expansion),
-        overlap_sinh_form=sinh_form,
         e_y_first_order=d + d ** (-N) * (1.0 / d - d),
     )
 
@@ -370,8 +359,6 @@ def dark_sector_prediction(sd, eps_dark: float, t):
     interference whose period is 2*pi over the dark frequency splitting.
     Returns 0 when no mode decays slower than eps_dark.
     """
-    from .spectral import overlap_weights  # local import keeps module load light
-
     t_arr = np.asarray(t, dtype=float)
     dark = sd.decay_rates < eps_dark
     if not np.any(dark):
@@ -406,16 +393,15 @@ def table1(J1: float = 1.0, J2: float = 1.8, Gamma: float = 0.5,
         if n % 2:
             raise ValueError("benchmark table is defined for even N")
         sd = decompose(netmodel.build_ssh_model(n, J1, J2, Gamma))
-        slow = int(np.argmin(sd.decay_rates))
         pred = ssh_even_prediction(n, J1, J2, Gamma)
         if not pred.threshold_ok:
             raise ValueError(f"no edge mode predicted at N={n}; table undefined")
         rows.append(
             Table1Row(
                 N=n,
-                tau_exact=1.0 / float(sd.decay_rates[slow]),
+                tau_exact=1.0 / float(sd.decay_rates[0]),
                 tau_theory=pred.tau_coh,
-                overlap_exact=site_overlap(sd, slow, 1),
+                overlap_exact=site_overlap(sd, 0, 1),
                 overlap_theory=pred.overlap,
             )
         )

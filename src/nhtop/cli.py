@@ -13,6 +13,7 @@ byte-identical files.  Exit codes: 0 success, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from typing import Mapping
@@ -88,10 +89,14 @@ def _build_from_args(args) -> netmodel.EffectiveHamiltonian:
     return netmodel.build_model(*_resolve_model(args, config))
 
 
-def _open_out(args):
+@contextlib.contextmanager
+def _output(args):
+    """The ``--out`` stream: stdout for ``-``, else the named file, closed on exit."""
     if args.out == "-":
-        return sys.stdout, False
-    return open(args.out, "w", encoding="utf-8"), True
+        yield sys.stdout
+    else:
+        with open(args.out, "w", encoding="utf-8") as stream:
+            yield stream
 
 
 def _time_grid(args) -> np.ndarray:
@@ -106,10 +111,9 @@ def _gnuplot_lines(args, ycols: str):
     return (f"gnuplot: set datafile separator ','; plot '{args.out}' using {ycols} with lines",)
 
 
-def cmd_model(args) -> int:
+def cmd_model(args) -> None:
     H = _build_from_args(args)
-    stream, close = _open_out(args)
-    try:
+    with _output(args) as stream:
         for line in _gnuplot_lines(args, "1:3"):
             stream.write(f"# {line}\n")
         stream.write("i,j,re,im\n")
@@ -117,17 +121,12 @@ def cmd_model(args) -> int:
         for i in range(H.dim):
             for j in range(H.dim):
                 stream.write(f"{i + 1},{j + 1},{m[i, j].real:.17g},{m[i, j].imag:.17g}\n")
-    finally:
-        if close:
-            stream.close()
-    return 0
 
 
-def cmd_spectrum(args) -> int:
+def cmd_spectrum(args) -> None:
     H = _build_from_args(args)
     sd = spectral.decompose(H)
-    stream, close = _open_out(args)
-    try:
+    with _output(args) as stream:
         for line in _gnuplot_lines(args, "2:3"):
             stream.write(f"# {line}\n")
         stream.write(
@@ -139,13 +138,9 @@ def cmd_spectrum(args) -> int:
                 f"{idx},{re_l:.17g},{im_l:.17g},{rate:.17g},"
                 f"{c1:.17g},{site},{length:.17g}\n"
             )
-    finally:
-        if close:
-            stream.close()
-    return 0
 
 
-def cmd_coherence(args) -> int:
+def cmd_coherence(args) -> None:
     H = _build_from_args(args)
     times = _time_grid(args)
     if args.method == "full":
@@ -153,17 +148,12 @@ def cmd_coherence(args) -> int:
         trace = dynamics.coherence_trace_superoperator(sop, times)
     else:
         trace = dynamics.coherence_trace(H, times, method=args.method)
-    stream, close = _open_out(args)
-    try:
+    with _output(args) as stream:
         header = _gnuplot_lines(args, "1:2") + (f"method={trace.method}",)
         dynamics.write_trace_csv(stream, trace, header)
-    finally:
-        if close:
-            stream.close()
-    return 0
 
 
-def cmd_winding(args) -> int:
+def cmd_winding(args) -> None:
     model, _, params = _resolve_model(args, _read_config(args))
     if model == "ssh":
         bloch = topology.bloch_ssh(params["J1"], params["J2"], params["Gamma"])
@@ -188,35 +178,24 @@ def cmd_winding(args) -> int:
         print(f"W={res.W} method={res.method}")
     if len(results) == 2 and results[0].W != results[1].W:
         raise NumericError("numeric and closed-form winding numbers disagree")
-    return 0
 
 
-def cmd_table1(args) -> int:
+def cmd_table1(args) -> None:
     n_list = [int(s) for s in args.N_list.split(",") if s]
     rows = analytics.table1(args.J1_v, args.J2_v, args.gamma_v, n_list)
-    stream, close = _open_out(args)
-    try:
+    with _output(args) as stream:
         analytics.write_table1_csv(stream, rows, _gnuplot_lines(args, "1:2"))
-    finally:
-        if close:
-            stream.close()
-    return 0
 
 
-def cmd_scaling(args) -> int:
+def cmd_scaling(args) -> None:
     model, _, params = _resolve_model(args, _read_config(args))
     n_list = [int(s) for s in args.Ns.split(",") if s]
     report = topology.bulk_edge_report(model, params, n_list, eps_dark=args.eps_dark)
-    stream, close = _open_out(args)
-    try:
+    with _output(args) as stream:
         topology.write_report_csv(stream, report, _gnuplot_lines(args, "1:5"))
-    finally:
-        if close:
-            stream.close()
-    return 0
 
 
-def cmd_disorder(args) -> int:
+def cmd_disorder(args) -> None:
     model, n, params = _resolve_model(args, _read_config(args))
     mask = None
     if args.site_mask is not None:
@@ -229,13 +208,8 @@ def cmd_disorder(args) -> int:
         times=_time_grid(args), site_mask=mask,
     )
     result = disorder.run_ensemble(cfg)
-    stream, close = _open_out(args)
-    try:
+    with _output(args) as stream:
         disorder.write_ensemble_csv(stream, cfg, result, _gnuplot_lines(args, "1:2"))
-    finally:
-        if close:
-            stream.close()
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -307,7 +281,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
     except (SpecificationError, PhaseBoundaryError, ValueError, KeyError,
             OSError, json.JSONDecodeError) as exc:
         print(f"nhtop: configuration error: {exc}", file=sys.stderr)
@@ -315,6 +289,7 @@ def main(argv=None) -> int:
     except (NumericError, np.linalg.LinAlgError) as exc:
         print(f"nhtop: numerical failure: {exc}", file=sys.stderr)
         return 3
+    return 0
 
 
 def app() -> None:

@@ -112,10 +112,10 @@ def log_time_grid(t_max: float, n_points: int = 400, t_min: float = 1e-2) -> np.
 
 
 def _qubit_weights(condition, right: np.ndarray, left: np.ndarray):
-    """Qubit-site weights ``c_j = r_j[0] conj(l_j[0])`` of a stack of sorted
-    decompositions (``right``, ``left`` of shape ``(R, n, n)``) and whether
-    the spectral route is reliable for each: ``condition`` (shape ``(R,)``)
-    is below ``CONDITION_FALLBACK`` and flags no exceptional point, the
+    """Qubit-site weights ``c_j = r_j[0] conj(l_j[0])`` of sorted
+    decompositions (``right``, ``left`` of any shape ``(..., n, n)``) and
+    whether the spectral route is reliable for each: ``condition`` (shape
+    ``(...)``) is below ``CONDITION_FALLBACK`` and flags no exceptional point, the
     weights sum to 1 within 1e-12 (completeness at the qubit site keeps
     C(0) = 1 within the trace type's own tolerance), and the mode sum's
     rounding bound ``eps * sum_j |c_j|``, which grows near exceptional
@@ -128,8 +128,8 @@ def _qubit_weights(condition, right: np.ndarray, left: np.ndarray):
 
 
 def _spectral_values(w: np.ndarray, c: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """``|sum_j c_j exp(lambda_j t)|`` for stacks ``w``, ``c`` of shape ``(R, n)``:
-    one ``(R, T, n)`` exponential and one stacked matrix-vector product."""
+    """``|sum_j c_j exp(lambda_j t)|`` for ``w``, ``c`` of any shape ``(..., n)``:
+    one ``(..., T, n)`` exponential and one stacked matrix-vector product."""
     return np.abs(np.exp(times[:, None] * w[..., None, :]) @ c[..., None])[..., 0]
 
 
@@ -227,10 +227,9 @@ def coherence_trace(H: EffectiveHamiltonian, times, method: str = "auto") -> Coh
         raise ValueError("method must be 'auto', 'spectral' or 'expm'")
     if method in ("auto", "spectral"):
         sd = spectral.decompose(H)
-        c, reliable = _qubit_weights(np.array([sd.condition]), sd.right_vectors[None],
-                                     sd.left_vectors[None])
-        if reliable[0]:
-            return CoherenceTrace(t, _spectral_values(sd.eigenvalues[None], c, t)[0], "spectral")
+        c, reliable = _qubit_weights(sd.condition, sd.right_vectors, sd.left_vectors)
+        if reliable:
+            return CoherenceTrace(t, _spectral_values(sd.eigenvalues, c, t), "spectral")
         if method == "spectral":
             raise NumericError(
                 f"spectral route unreliable (condition {sd.condition:.3g}); use method='auto'"
@@ -326,11 +325,6 @@ def strong_dissipative_rate(J1: float, Gamma2: float) -> float:
     return 2.0 * J1**2 / Gamma2
 
 
-def hermitian_and_loss(H: EffectiveHamiltonian):
-    """Split H into its Hermitian part and per-site full loss rates."""
-    return H.hermitian_part, H.loss_rates
-
-
 def weak_dissipative_spectrum(H0, gammas) -> np.ndarray:
     """First-order spectrum for weak loss on an otherwise Hermitian network.
 
@@ -363,8 +357,8 @@ def fit_exponential_rate(times, values, floor: float = 1e-300):
     mask = v > floor
     if np.count_nonzero(mask) < 2:
         raise ValueError("not enough positive samples for a rate fit")
-    slope, intercept = np.polyfit(t[mask], np.log(v[mask]), 1)
-    return -float(slope), float(intercept)
+    slope, intercept, _ = spectral._fit_log_linear(t[mask], v[mask])
+    return -slope, intercept
 
 
 def write_trace_csv(stream, trace: CoherenceTrace, header_lines=()):

@@ -5,9 +5,10 @@ normalized so that the rank-one projectors ``P_j = r_j l_j^dag`` resolve the
 identity.  Everything downstream (coherence traces, quasi-dark mode searches,
 localization fits) is built on top of this decomposition, which is computed
 once per ``EffectiveHamiltonian`` and cached on it.  The steps after the
-eigensolve (left vectors, pairing, condition, mode order) take a leading
-batch axis: ``decompose`` runs them on a batch of one, and disorder ensembles
-run them on a stack of realizations.
+eigensolve (left vectors, pairing, condition, mode order) accept any leading
+shape: ``decompose`` runs them on one matrix, and disorder ensembles on a
+stack of realizations.  ``_fit_log_linear`` is the one log-linear fit behind
+every localization length, branch slope and decay-rate fit.
 """
 
 from __future__ import annotations
@@ -79,14 +80,14 @@ def decompose(H: EffectiveHamiltonian) -> SpectralData:
         raise NumericError("generator contains non-finite entries")
     w, vr = np.linalg.eig(L)
 
-    left, condition, paired = _c_product_left(vr[None])
-    left, condition = left[0], float(condition[0])
-    if not paired[0]:
+    left, condition, paired = _c_product_left(vr)
+    condition = float(condition)
+    if not paired:
         left = np.linalg.inv(vr).conj().T
-        condition = float(_condition(left[None])[0])
+        condition = float(_condition(left))
     degenerate = bool(_degenerate(condition))
 
-    w, vr, left = (a[0] for a in _sorted_modes(w[None], vr[None], left[None]))
+    w, vr, left = _sorted_modes(w, vr, left)
     sd = SpectralData(
         eigenvalues=w,
         right_vectors=vr,
@@ -102,15 +103,15 @@ def decompose(H: EffectiveHamiltonian) -> SpectralData:
 
 
 def _c_product_left(vr: np.ndarray):
-    """Left vectors of a stack of right eigenvector matrices ``vr``, shape
-    ``(R, n, n)``, of complex-symmetric generators.
+    """Left vectors of right eigenvector matrices ``vr`` of complex-symmetric
+    generators, shape ``(..., n, n)`` with any leading shape.
 
-    Returns ``(left, condition, paired)`` with shapes ``(R, n, n)``, ``(R,)``
-    and ``(R,)``.  Since ``L == L.T``, ``l_j = conj(r_j) / conj(r_j^T r_j)``.
-    A row with a self-orthogonal ``r_j`` (``|r_j^T r_j| < 1e-300``: an
+    Returns ``(left, condition, paired)`` with shapes ``(..., n, n)``,
+    ``(...)`` and ``(...)``.  Since ``L == L.T``, ``l_j = conj(r_j) / conj(r_j^T r_j)``.
+    A matrix with a self-orthogonal ``r_j`` (``|r_j^T r_j| < 1e-300``: an
     exceptional point) gets ``left = conj(vr)`` and ``condition = inf``.  Any
-    other row is ``paired`` unless ``max |l_j^dag r_k - delta_jk|`` exceeds
-    ``_PAIRING_TOL``; an unpaired row's ``left`` and ``condition`` are not
+    other matrix is ``paired`` unless ``max |l_j^dag r_k - delta_jk|`` exceeds
+    ``_PAIRING_TOL``; an unpaired matrix's ``left`` and ``condition`` are not
     the inverse's and must be rebuilt or discarded by the caller.
     """
     rtr = np.einsum("...ij,...ij->...j", vr, vr)
@@ -126,7 +127,7 @@ def _c_product_left(vr: np.ndarray):
 
 
 def _condition(left: np.ndarray) -> np.ndarray:
-    """``max_j ||l_j||`` for each matrix of a ``(R, n, n)`` stack: for unit
+    """``max_j ||l_j||`` for each matrix of shape ``(..., n, n)``: for unit
     ``r_j``, the largest eigenvalue condition number."""
     return np.linalg.norm(left, axis=-2).max(axis=-1)
 
@@ -137,12 +138,25 @@ def _degenerate(condition):
 
 
 def _sorted_modes(w: np.ndarray, vr: np.ndarray, left: np.ndarray):
-    """Each row's modes by decay rate ``-Re(lambda)`` ascending (ties by
-    ``Im(lambda)``), for stacks of shape ``(R, n)`` and ``(R, n, n)``."""
+    """Modes by decay rate ``-Re(lambda)`` ascending (ties by ``Im(lambda)``),
+    for ``w`` of shape ``(..., n)`` and vectors of shape ``(..., n, n)``."""
     order = np.lexsort((w.imag, -w.real), axis=-1)
-    rows = np.arange(w.shape[0])[:, None]
-    cols = (rows[:, :, None], np.arange(w.shape[1])[:, None], order[:, None, :])
-    return w[rows, order], vr[cols], left[cols]
+    cols = order[..., None, :]
+    return (np.take_along_axis(w, order, axis=-1), np.take_along_axis(vr, cols, axis=-1),
+            np.take_along_axis(left, cols, axis=-1))
+
+
+def _fit_log_linear(x, y):
+    """Least-squares line through ``(x, ln y)``: ``(slope, intercept, r_squared)``,
+    with ``r_squared`` NaN when ``ln y`` is constant."""
+    x = np.asarray(x, dtype=float)
+    y = np.log(y)
+    slope, intercept = np.polyfit(x, y, 1)
+    resid = y - (slope * x + intercept)
+    sstot = float(np.sum((y - y.mean()) ** 2))
+    r2 = 1.0 - float(np.sum(resid**2)) / sstot if sstot > 0 else math.nan
+    return float(slope), float(intercept), r2
+
 
 def overlap_weights(sd: SpectralData, site: int = 1) -> np.ndarray:
     """Mode weights c_j = <site|r_j><l_j|site> at a 1-based site.
@@ -162,26 +176,6 @@ def site_overlap(sd: SpectralData, mode: int, site: int = 1) -> float:
         raise IndexError(f"site {site} out of range 1..{sd.n}")
     v = sd.right_vectors[:, mode]
     return float(np.abs(v[site - 1]) ** 2 / np.linalg.norm(v) ** 2)
-
-
-def cluster_weights(sd: SpectralData, site: int = 1, tol: float = 1e-9):
-    """Aggregate weights over (near-)degenerate eigenvalue clusters.
-
-    Returns ``(eigenvalues, weights)`` where eigenvalues within ``tol`` of
-    each other are merged and their c_j summed; single projectors of a
-    degenerate pair are not individually reliable, their sum is.
-    """
-    c = overlap_weights(sd, site)
-    w = sd.eigenvalues
-    order = np.lexsort((w.imag, w.real))
-    lam_out, c_out = [], []
-    for idx in order:
-        if lam_out and abs(w[idx] - lam_out[-1]) <= tol:
-            c_out[-1] += c[idx]
-        else:
-            lam_out.append(w[idx])
-            c_out.append(c[idx])
-    return np.array(lam_out), np.array(c_out)
 
 
 @dataclass(frozen=True)
@@ -218,12 +212,9 @@ def localization_profile(mode_vector, support_floor: float = 1e-14) -> Localizat
         idx = support[(support - site0) % stride == 0]
         if idx.size < 2:
             continue
-        x = idx.astype(float)
-        y = np.log(p[idx])
-        slope, intercept = np.polyfit(x, y, 1)
-        resid = y - (slope * x + intercept)
-        sstot = float(np.sum((y - y.mean()) ** 2))
-        r2 = 1.0 - float(np.sum(resid**2)) / sstot if sstot > 0 else 0.0
+        slope, _, r2 = _fit_log_linear(idx, p[idx])
+        if math.isnan(r2):
+            r2 = 0.0
         if best is None or r2 > best[0] + 1e-9:
             best = (r2, slope, stride)
 
@@ -274,7 +265,6 @@ def find_quasi_dark_modes(sd: SpectralData, eps_dark: float) -> list[EdgeMode]:
                 r_squared=prof.r_squared,
             )
         )
-    modes.sort(key=lambda m: m.decay_rate)
     return modes
 
 

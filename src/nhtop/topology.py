@@ -18,7 +18,8 @@ import numpy as np
 
 from .errors import GapClosureError, PhaseBoundaryError, ResolutionError, SpecificationError
 from . import netmodel
-from .spectral import decompose, default_eps_dark, find_quasi_dark_modes, is_localized_at_qubit
+from .spectral import (_fit_log_linear, decompose, default_eps_dark, find_quasi_dark_modes,
+                       is_localized_at_qubit)
 
 MAX_KPOINTS = 1 << 17
 _BOUNDARY_TOL = 1e-12
@@ -91,10 +92,9 @@ class WindingResult:
             raise ValueError("method must be 'numeric' or 'closed_form'")
 
 
-def _gauge_phases(bloch: BlochHamiltonian, ks: np.ndarray) -> np.ndarray:
-    """Unit-modulus det U(k) samples on the grid."""
+def _gauge_phases(bloch: BlochHamiltonian, ks: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """Unit-modulus det U(k) samples from the Bloch matrices ``mats`` at ``ks``."""
     n = bloch.cell_size
-    mats = np.stack([bloch(k) for k in ks])
     hs = mats[:, : n - 1, : n - 1]
     vs = mats[:, : n - 1, n - 1]
 
@@ -165,8 +165,7 @@ def _phase_product(z: np.ndarray, det_q_phase: complex, bloch, ks) -> np.ndarray
     return det_q_phase * np.prod(z / mags, axis=1)
 
 
-def _check_no_dark_state(bloch: BlochHamiltonian, ks: np.ndarray):
-    mats = np.stack([bloch(k) for k in ks])
+def _check_no_dark_state(mats: np.ndarray):
     decay = -np.imag(np.linalg.eigvals(mats))
     gap = float(np.min(decay))
     if gap <= 1e-10:
@@ -185,8 +184,9 @@ def winding_number_numeric(bloch: BlochHamiltonian, n_k: int = 256) -> WindingRe
         raise ValueError("n_k must be at least 64")
     while True:
         ks = np.linspace(0.0, 2 * math.pi, n_k, endpoint=False)
-        _check_no_dark_state(bloch, ks)
-        u = _gauge_phases(bloch, ks)
+        mats = np.stack([bloch(k) for k in ks])
+        _check_no_dark_state(mats)
+        u = _gauge_phases(bloch, ks, mats)
         steps = np.angle(np.roll(u, -1) * np.conj(u))
         max_step = float(np.max(np.abs(steps)))
         if max_step < math.pi / 2:
@@ -221,12 +221,20 @@ def winding_three_site_closed_form(J1, J2, J3, J, eps1=0.0, eps2=0.0) -> Winding
     exactly as published (the unsquared detuning under the root included);
     only the eps1 == eps2 reduction, where theta = pi/2 and the thresholds
     become |J + J2| and |J - J2|, is validated against the numeric route.
+    Outside the formula's domain it raises ``SpecificationError``.
     """
     delta = eps1 - eps2
     if delta == 0.0:
         thresholds = (abs(J + J2), abs(J - J2))
     else:
-        arg = delta / math.sqrt(4 * J1**2 + delta)
+        root = 4 * J1**2 + delta
+        arg = delta / math.sqrt(root) if root > 0 else math.nan
+        # NaN, |arg| > 1 and arg == 1 (theta = 0, so tan(theta/2) = 0) all fail
+        if not -1.0 <= arg < 1.0:
+            raise SpecificationError(
+                "the published three-site winding formula needs 4 J1^2 + (eps1-eps2) > 0 and "
+                "(eps1-eps2) / sqrt(4 J1^2 + (eps1-eps2)) in [-1, 1); "
+                f"got J1={J1!r}, eps1-eps2={delta!r}")
         theta = math.acos(arg)
         thresholds = (
             abs(J + J2 * math.tan(theta / 2)),
@@ -314,7 +322,7 @@ def bulk_edge_report(model: str, params: dict, N_list: Sequence[int],
         eps = default_eps_dark(H) if eps_dark is None else eps_dark
         modes = find_quasi_dark_modes(sd, eps)
         nloc = sum(1 for m in modes if is_localized_at_qubit(m, cell))
-        rates = np.sort(sd.decay_rates)
+        rates = sd.decay_rates  # ascending: decompose sorts the modes
         for m in range(min(n_branches, rates.size)):
             branch_rates[m][n] = float(rates[m])
         rows.append(
@@ -332,13 +340,10 @@ def bulk_edge_report(model: str, params: dict, N_list: Sequence[int],
         pts = [(n, r) for n, r in sorted(branch_rates[m].items()) if r > 1e-13]
         if len(pts) < 3:
             continue
-        x = np.array([p[0] for p in pts], dtype=float)
-        y = np.log([p[1] for p in pts])
-        slope, intercept = np.polyfit(x, y, 1)
-        resid = y - (slope * x + intercept)
-        sstot = float(np.sum((y - y.mean()) ** 2))
-        r2 = 1.0 - float(np.sum(resid**2)) / sstot if sstot > 0 else 1.0
-        fits.append(BranchFit(m, float(slope), float(intercept), r2, len(pts)))
+        slope, intercept, r2 = _fit_log_linear(*zip(*pts))
+        if math.isnan(r2):
+            r2 = 1.0
+        fits.append(BranchFit(m, slope, intercept, r2, len(pts)))
 
     eps_used = eps_dark if eps_dark is not None else -1.0
     return BulkEdgeReport(model, dict(params), tuple(rows), tuple(fits), w_closed, eps_used)

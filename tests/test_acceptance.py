@@ -256,7 +256,7 @@ def test_criterion_11_perturbative_limits(record_criterion):
     strong_rel = abs(fitted - pred) / pred
 
     Hw = netmodel.build_ssh_model(7, 1.0, 1.8, 0.01)
-    lam_pred = dynamics.weak_dissipative_spectrum(*dynamics.hermitian_and_loss(Hw))
+    lam_pred = dynamics.weak_dissipative_spectrum(Hw.hermitian_part, Hw.loss_rates)
     lam_exact = np.linalg.eigvals(Hw.generator)
     p = lam_pred[np.argsort(lam_pred.imag)]
     e = lam_exact[np.argsort(lam_exact.imag)]

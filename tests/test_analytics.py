@@ -190,13 +190,6 @@ class TestEvenChainPrediction:
         assert p.lambda_minus.real == pytest.approx(-0.5 + 1.0 / p.tau_coh)
         assert p.h_convention["lambda_plus"] == pytest.approx(1j * p.lambda_plus)
 
-    def test_sinh_form_reported_but_secondary(self):
-        # the raw sinh expression drifts from the validated series at small N
-        p6 = analytics.ssh_even_prediction(6, 1.0, 1.8, 0.5)
-        p20 = analytics.ssh_even_prediction(20, 1.0, 1.8, 0.5)
-        assert abs(p20.overlap_sinh_form - p20.overlap) < 1e-3
-        assert p6.overlap_sinh_form != pytest.approx(p6.overlap, abs=1e-3)
-
 
 class TestDarkSectorPrediction:
     def test_w1_constant_equals_plateau(self):

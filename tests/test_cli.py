@@ -91,6 +91,17 @@ def test_winding_boundary_exits_two(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["winding", "--model", "three-site", "--J1", "0", "--eps1", "1", "--method", "closed-form"],
+    ["scaling", "--model", "three-site", "--J1", "0.5", "--eps1", "2"],
+])
+def test_three_site_closed_form_outside_its_domain_exits_two(capsys, argv):
+    # J1=0, eps1=1: tan(theta/2) = 0; J1=0.5, eps1=2: the arccos argument exceeds 1
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "configuration error: the published three-site winding formula needs" in err
+
+
 def test_winding_gap_closure_exits_three(capsys):
     assert main(["winding", "--model", "ssh", "--J2", "1.0", "--method", "numeric"]) == 3
     capsys.readouterr()

@@ -287,7 +287,7 @@ class TestPerturbativeLimits:
 
     def test_weak_dissipation_uniform_loss_relation(self):
         H = netmodel.build_ssh_model(7, 1.0, 1.8, 0.01)
-        h0, gam = dynamics.hermitian_and_loss(H)
+        h0, gam = H.hermitian_part, H.loss_rates
         lam = dynamics.weak_dissipative_spectrum(h0, gam)
         # with equal loss gamma on a sublattice: rate = (g/2)(sum of weights there)
         e0, q = np.linalg.eigh(h0)
@@ -302,7 +302,7 @@ class TestPerturbativeLimits:
 
     def test_weak_dissipation_matches_exact_spectrum(self):
         H = netmodel.build_ssh_model(7, 1.0, 1.8, 0.01)
-        lam_pred = dynamics.weak_dissipative_spectrum(*dynamics.hermitian_and_loss(H))
+        lam_pred = dynamics.weak_dissipative_spectrum(H.hermitian_part, H.loss_rates)
         lam_exact = np.linalg.eigvals(H.generator)
         pred = lam_pred[np.argsort(lam_pred.imag)]
         exact = lam_exact[np.argsort(lam_exact.imag)]

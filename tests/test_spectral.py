@@ -46,6 +46,26 @@ def test_biorthogonality_and_completeness(builder, args):
     assert np.max(np.abs(rebuilt - H.generator)) < 1e-8 * np.linalg.norm(H.generator)
 
 
+def _assert_modes_sorted(sd):
+    """Decay rates non-decreasing, equal rates ordered by Im(lambda)."""
+    rate, im = sd.decay_rates, sd.eigenvalues.imag
+    assert np.all(np.diff(rate) >= 0)
+    tied = np.diff(rate) == 0
+    assert np.all(np.diff(im)[tied] >= 0)
+
+
+def test_modes_sorted_by_decay_rate_then_frequency():
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        _assert_modes_sorted(spectral.decompose(
+            netmodel.build_effective_hamiltonian(random_network(rng))))
+    # equal loss everywhere: three exactly tied rates
+    H = netmodel.EffectiveHamiltonian(np.diag([0.5, -0.3, 0.2]) - 0.5j * np.eye(3))
+    sd = spectral.decompose(H)
+    _assert_modes_sorted(sd)
+    assert np.array_equal(sd.eigenvalues.imag, [-0.5, -0.2, 0.3])
+
+
 class TestOverlapWeights:
     def test_weights_sum_to_one_at_every_site(self):
         rng = np.random.default_rng(7)
@@ -88,13 +108,6 @@ class TestOverlapWeights:
         sd = spectral.decompose(netmodel.build_ssh_model(3, 1.0, 1.8, 0.5))
         with pytest.raises(IndexError):
             spectral.site_overlap(sd, 0, site)
-
-    def test_cluster_weights_merge_degenerate_pairs(self):
-        H = netmodel.EffectiveHamiltonian(np.diag([0.5, 0.5, -1j]))
-        sd = spectral.decompose(H)
-        lam, c = spectral.cluster_weights(sd, 1)
-        assert lam.size == 2
-        assert abs(np.sum(c) - 1) < 1e-12
 
 
 class TestQuasiDarkModes:
@@ -144,6 +157,11 @@ class TestLocalizationProfile:
         e5[4] = 1.0
         prof = spectral.localization_profile(e5)
         assert prof.site == 5
+        assert prof.delocalized
+
+    def test_flat_profile_is_delocalized(self):
+        prof = spectral.localization_profile(np.ones(6))
+        assert prof.r_squared == 0.0
         assert prof.delocalized
 
     def test_zero_vector_rejected(self):
@@ -238,6 +256,9 @@ class TestDegenerateEigenspace:
         H, sd = star
         for site in range(1, H.dim + 1):
             assert abs(np.sum(spectral.overlap_weights(sd, site)) - 1) < 1e-12
+
+    def test_modes_sorted_by_decay_rate_then_frequency(self, star):
+        _assert_modes_sorted(star[1])
 
     def test_projectors_rebuild_the_generator(self, star):
         H, sd = star

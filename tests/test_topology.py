@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nhtop import topology
+from nhtop import netmodel, topology
 from nhtop.errors import GapClosureError, PhaseBoundaryError, SpecificationError
 
 
@@ -148,6 +148,12 @@ class TestClosedForms:
         with pytest.raises(PhaseBoundaryError):
             topology.winding_three_site_closed_form(1.0, 0.3, 1.0, 0.7)
 
+    @pytest.mark.parametrize("J1,eps1", [(0.0, 1.0), (0.5, 2.0), (0.0, -1.0)])
+    def test_three_site_outside_formula_domain(self, J1, eps1):
+        # tan(theta/2) = 0, |arg| > 1 and 4 J1^2 + (eps1 - eps2) <= 0
+        with pytest.raises(SpecificationError, match="published three-site winding formula"):
+            topology.winding_three_site_closed_form(J1, 0.3, 2.0, 0.7, eps1, 0.0)
+
     def test_nonzero_detuning_split_keeps_equal_case(self):
         # equal detunings reduce to the symmetric thresholds for any value
         a = topology.winding_three_site_closed_form(1.0, 0.3, 2.0, 0.7, 0.4, 0.4)
@@ -219,6 +225,15 @@ class TestBulkEdgeReport:
         rep = topology.bulk_edge_report("three-site", params, [9, 12, 15, 18])
         for row in rep.rows[2:]:      # once both branches are under threshold
             assert row.n_localized_site1 == rep.W_closed_form
+
+    def test_flat_branch_fits_with_unit_r_squared(self, monkeypatch):
+        # every N decomposes to the same spectrum, so each branch is flat in N
+        sd = topology.decompose(netmodel.build_ssh_model(8, 1.0, 1.8, 0.5))
+        monkeypatch.setattr(topology, "decompose", lambda H: sd)
+        rep = topology.bulk_edge_report("ssh", {"J1": 1.0, "J2": 1.8, "Gamma": 0.5},
+                                        [8, 10, 12, 14])
+        assert len(rep.fits) == 3
+        assert all(f.r_squared == 1.0 and not f.exponential for f in rep.fits)
 
     def test_report_csv(self, tmp_path):
         rep = topology.bulk_edge_report("ssh", {"J1": 1.0, "J2": 1.8, "Gamma": 0.5},
