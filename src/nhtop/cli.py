@@ -155,20 +155,8 @@ def cmd_coherence(args) -> None:
 
 def cmd_winding(args) -> None:
     model, _, params = _resolve_model(args, _read_config(args))
-    if model == "ssh":
-        bloch = topology.bloch_ssh(params["J1"], params["J2"], params["Gamma"])
-        closed = lambda: topology.winding_ssh_closed_form(params["J1"], params["J2"])
-    elif model == "three-site":
-        bloch = topology.bloch_three_site(
-            params["J1"], params["J2"], params["J3"], params["J"],
-            params["eps1"], params["eps2"], params["Gamma"],
-        )
-        closed = lambda: topology.winding_three_site_closed_form(
-            params["J1"], params["J2"], params["J3"], params["J"],
-            params["eps1"], params["eps2"],
-        )
-    else:
-        raise SpecificationError("winding is defined for 'ssh' and 'three-site' models")
+    _, make_bloch, closed = topology.chain_winding(model, params)
+    bloch = make_bloch()  # validated whichever method runs
     results = []
     if args.method in ("numeric", "both"):
         results.append(topology.winding_number_numeric(bloch, args.n_k))

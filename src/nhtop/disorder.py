@@ -14,14 +14,15 @@ on any platform:
 Realizations are solved a chunk at a time: the chunk's detunings are drawn
 with one vectorized SplitMix64, the detuned generators are stacked into one
 ``(R_c, N, N)`` array and ``dynamics._spectral_batch`` evaluates them with one
-stacked eigensolve and one stacked ``exp``.  A realization that fails any of
-the spectral route's checks (pairing, condition, weight completeness and
-cancellation, or the trace's own finiteness, sign and C(0) checks) is
-evaluated alone by ``coherence_trace``, which takes the ``inv`` or ``expm``
-fallback exactly as for a single generator; every row equals that
-per-realization trace bit for bit.  A chunk holds as many realizations as
-keep each stacked temporary, ``(R_c, N, N)`` or ``(R_c, T, N)``, near
-``2^14`` complex elements (256 KiB).
+stacked eigensolve and one stacked ``exp``; a realization with a degenerate
+eigenspace is c-orthogonalized within its own row, as ``decompose`` does for
+one generator.  A realization that fails any of the spectral route's checks
+(condition, weight completeness and cancellation, or the trace's own
+finiteness, sign and C(0) checks) is evaluated alone by ``coherence_trace``,
+which takes the ``expm`` fallback exactly as for a single generator; every
+row equals that per-realization trace bit for bit.  A chunk holds as many
+realizations as keep each stacked temporary, ``(R_c, N, N)`` or
+``(R_c, T, N)``, near ``2^14`` complex elements (256 KiB).
 
 Aggregation is indexed by realization number and accumulated relative to the
 clean (mu = 0) trace, so the mean is independent of evaluation order and a

@@ -25,7 +25,7 @@ from .netmodel import EffectiveHamiltonian, Superoperator
 METHODS = ("spectral", "expm", "full_superoperator")
 
 #: spectral -> expm fallback threshold on ``SpectralData.condition``, the
-#: largest eigenvalue condition number ``max_j ||l_j||`` (unit ``r_j``)
+#: largest eigenvalue condition number ``max_j 1/|r_j^T r_j|`` (unit ``r_j``)
 CONDITION_FALLBACK = 1e8
 
 #: weights smaller than this never contribute to C(t) and are dropped from
@@ -111,16 +111,16 @@ def log_time_grid(t_max: float, n_points: int = 400, t_min: float = 1e-2) -> np.
     return np.geomspace(t_min, t_max, n_points)
 
 
-def _qubit_weights(condition, right: np.ndarray, left: np.ndarray):
-    """Qubit-site weights ``c_j = r_j[0] conj(l_j[0])`` of sorted
-    decompositions (``right``, ``left`` of any shape ``(..., n, n)``) and
-    whether the spectral route is reliable for each: ``condition`` (shape
-    ``(...)``) is below ``CONDITION_FALLBACK`` and flags no exceptional point, the
-    weights sum to 1 within 1e-12 (completeness at the qubit site keeps
-    C(0) = 1 within the trace type's own tolerance), and the mode sum's
-    rounding bound ``eps * sum_j |c_j|``, which grows near exceptional
-    points, stays below 1e-12."""
-    c = right[..., 0, :] * np.conj(left[..., 0, :])
+def _qubit_weights(condition, right: np.ndarray, c_norms: np.ndarray):
+    """Qubit-site weights ``c_j = r_j[0] conj(l_j[0]) = r_j[0]^2 / c_norms_j`` of
+    sorted decompositions (``right``, ``c_norms`` of shapes ``(..., n, n)``,
+    ``(..., n)``) and whether the spectral route is reliable for each:
+    ``condition`` (shape ``(...)``) is below ``CONDITION_FALLBACK`` and flags
+    no exceptional point, the weights sum to 1 within 1e-12 (completeness at
+    the qubit site keeps C(0) = 1 within the trace type's own tolerance), and
+    the mode sum's rounding bound ``eps * sum_j |c_j|``, which grows near
+    exceptional points, stays below 1e-12."""
+    c = right[..., 0, :] * (right[..., 0, :] / c_norms)
     reliable = ~spectral._degenerate(condition) & (condition < CONDITION_FALLBACK)
     reliable &= np.abs(c.sum(axis=-1) - 1.0) <= 1e-12
     reliable &= _EPS * np.abs(c).sum(axis=-1) <= 1e-12
@@ -137,22 +137,21 @@ def _spectral_batch(L: np.ndarray, times: np.ndarray):
     """Spectral C(t) of a stack of generators ``L`` (shape ``(R, n, n)``):
     ``(values, ok)``, shapes ``(R, T)`` and ``(R,)``.
 
-    One stacked ``np.linalg.eig``, then the left vectors, pairing and
-    condition of ``spectral._c_product_left``, the reliability test of
+    One stacked ``np.linalg.eig`` with the c-orthogonal basis, c-norms,
+    condition and mode order of ``spectral._modes`` (a degenerate eigenspace
+    is c-orthogonalized within its own row), then the reliability test of
     ``_qubit_weights`` and the checks of ``CoherenceTrace``, each with a
     leading batch axis.  Where ``ok``, a row is bit for bit the trace that
     ``coherence_trace`` returns for that generator; any other row must be
     evaluated one generator at a time.  Raises ``np.linalg.LinAlgError`` when
     the stacked solve fails.
     """
-    w, vr = np.linalg.eig(L)
+    w, vr, c_norms, condition = spectral._modes(L)
     with np.errstate(all="ignore"):  # rows that fail a check are discarded
-        left, condition, paired = spectral._c_product_left(vr)
-        w, vr, left = spectral._sorted_modes(w, vr, left)
-        c, ok = _qubit_weights(condition, vr, left)
+        c, ok = _qubit_weights(condition, vr, c_norms)
         values = _spectral_values(w, c, times)
     non_finite, negative, off_at_zero = _trace_faults(times, values)
-    return values, ok & paired & ~(non_finite | negative | off_at_zero)
+    return values, ok & ~(non_finite | negative | off_at_zero)
 
 
 def _propagate(A: np.ndarray, times: np.ndarray, index: int) -> np.ndarray:
@@ -227,7 +226,7 @@ def coherence_trace(H: EffectiveHamiltonian, times, method: str = "auto") -> Coh
         raise ValueError("method must be 'auto', 'spectral' or 'expm'")
     if method in ("auto", "spectral"):
         sd = spectral.decompose(H)
-        c, reliable = _qubit_weights(sd.condition, sd.right_vectors, sd.left_vectors)
+        c, reliable = _qubit_weights(sd.condition, sd.right_vectors, sd.c_norms)
         if reliable:
             return CoherenceTrace(t, _spectral_values(sd.eigenvalues, c, t), "spectral")
         if method == "spectral":
@@ -253,7 +252,8 @@ def coherence_trace_superoperator(sop: Superoperator, times) -> CoherenceTrace:
 
 def expm_oracle(H: EffectiveHamiltonian, t: float) -> np.ndarray:
     """exp(t L) by scaling-and-squaring (Pade), independent of the spectral path
-    and of the Taylor stepper behind the "expm" and superoperator routes."""
+    and of the Taylor stepper behind the "expm" and superoperator routes: the
+    tests' reference, and the one use of scipy (installed by the ``test`` extra)."""
     if t < 0:
         raise ValueError("t must be >= 0")
     import scipy.linalg

@@ -98,7 +98,8 @@ def _frozen(matrix: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EffectiveHamiltonian:
-    """Dense complex N x N matrix H; the coherence-sector generator is -iH."""
+    """Dense complex N x N matrix H, stored as ``(m + m.T) / 2`` once validated
+    (so ``H == H.T`` exactly); the coherence-sector generator is -iH."""
 
     matrix: np.ndarray
 
@@ -107,15 +108,16 @@ class EffectiveHamiltonian:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise SpecificationError("matrix must be square")
         scale = max(1.0, float(np.max(np.abs(m))) if m.size else 1.0)
-        herm = (m + m.conj().T) / 2
-        anti = (m - m.conj().T) / 2
-        if np.max(np.abs(herm.imag)) > _HERM_TOL * scale:
+        # temporaries are not kept: the matrix may be large
+        if np.max(np.abs(((m + m.conj().T) / 2).imag)) > _HERM_TOL * scale:
             raise SpecificationError("Hermitian part must be real symmetric")
-        offdiag = anti - np.diag(np.diag(anti))
-        if m.shape[0] > 1 and np.max(np.abs(offdiag)) > _HERM_TOL * scale:
+        anti = (m - m.conj().T) / 2
+        if m.shape[0] > 1 and np.max(np.abs(anti - np.diag(np.diag(anti)))) > _HERM_TOL * scale:
             raise SpecificationError("anti-Hermitian part must be diagonal")
         if np.max(np.diag(anti).imag) > _HERM_TOL * scale:
             raise SpecificationError("on-site loss terms must have non-positive imaginary part")
+        if not np.array_equal(m, m.T):  # else (m + m.T) / 2 is m itself: no copy
+            m = _frozen((m + m.T) / 2)
         object.__setattr__(self, "matrix", m)
 
     @property

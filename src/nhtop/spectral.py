@@ -1,14 +1,14 @@
 """Biorthogonal spectral analysis of the coherence-sector generator.
 
-``decompose`` diagonalizes ``L = -iH`` with paired left/right eigenvectors,
-normalized so that the rank-one projectors ``P_j = r_j l_j^dag`` resolve the
-identity.  Everything downstream (coherence traces, quasi-dark mode searches,
-localization fits) is built on top of this decomposition, which is computed
-once per ``EffectiveHamiltonian`` and cached on it.  The steps after the
-eigensolve (left vectors, pairing, condition, mode order) accept any leading
-shape: ``decompose`` runs them on one matrix, and disorder ensembles on a
-stack of realizations.  ``_fit_log_linear`` is the one log-linear fit behind
-every localization length, branch slope and decay-rate fit.
+``decompose`` diagonalizes ``L = -iH == L.T`` in a c-orthogonal basis
+(``r_j^T r_k = 0``, ``j != k``), so the left eigenvectors are ``l_j =
+conj(r_j) / conj(r_j^T r_j)`` and the projectors ``P_j = r_j l_j^dag``
+resolve the identity.  Everything downstream (coherence traces, quasi-dark
+mode searches, localization fits) builds on this decomposition, computed once
+per ``EffectiveHamiltonian`` and cached on it.  ``_modes`` accepts any leading
+shape: ``decompose`` runs it on one matrix, disorder ensembles on a stack of
+realizations.  ``_fit_log_linear`` is the one log-linear fit behind every
+localization length, branch slope and decay-rate fit.
 """
 
 from __future__ import annotations
@@ -22,28 +22,29 @@ from .errors import NumericError
 from .netmodel import EffectiveHamiltonian
 
 DEGENERACY_CONDITION = 1e10
-_PAIRING_TOL = 1e-10
+# largest accepted |(R^T R)_jk / (R^T R)_jj|, j != k: the 1e-12 budget within
+# which the qubit weights must sum to 1 for the spectral route
+_PAIRING_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class SpectralData:
-    """Eigenvalues of L = -iH with biorthonormal right/left eigenvectors.
+    """Eigenvalues of L = -iH with c-orthogonal unit right eigenvectors.
 
-    Columns of ``right_vectors`` are unit right eigenvectors r_j; columns of
-    ``left_vectors`` are the matching left eigenvectors l_j, scaled so that
-    ``l_j^dag r_j = 1``.  Modes are sorted by decay rate ``-Re(lambda)``
-    ascending.  ``condition`` is ``max_j ||l_j||``, the largest eigenvalue
-    condition number (not that of the eigenvector matrix); above
-    ``DEGENERACY_CONDITION`` it flags a near-defective (exceptional) point and
-    sets ``degenerate_warning``.  The arrays are read-only: ``decompose`` hands
-    the same instance to every caller of the same ``H``.
+    Columns of ``right_vectors`` are unit r_j with ``r_j^T r_k = 0`` for
+    ``j != k``, and ``c_norms`` holds ``r_j^T r_j``; ``left_vectors`` derives
+    the l_j with ``l_j^dag r_j = 1`` from them.  Modes are sorted by decay
+    rate ``-Re(lambda)`` ascending.  ``condition`` is the largest eigenvalue
+    condition number ``kappa_j = 1/|c_norms_j|`` (not that of the eigenvector
+    matrix); above ``DEGENERACY_CONDITION`` it flags a near-defective
+    (exceptional) point and sets ``degenerate_warning``.  The arrays are
+    read-only: ``decompose`` hands one instance to every caller of one ``H``.
     """
 
     eigenvalues: np.ndarray
     right_vectors: np.ndarray
-    left_vectors: np.ndarray
+    c_norms: np.ndarray
     condition: float
-    degenerate_warning: bool = False
 
     @property
     def n(self) -> int:
@@ -53,97 +54,99 @@ class SpectralData:
     def decay_rates(self) -> np.ndarray:
         return -np.real(self.eigenvalues)
 
+    @property
+    def left_vectors(self) -> np.ndarray:
+        """Left eigenvectors ``l_j = conj(r_j) / conj(r_j^T r_j)``, as columns."""
+        return np.conj(self.right_vectors) / np.conj(self.c_norms)
+
+    @property
+    def degenerate_warning(self) -> bool:
+        return bool(_degenerate(self.condition))
+
 
 def decompose(H: EffectiveHamiltonian) -> SpectralData:
-    """Biorthogonal eigendecomposition of the generator L = -iH.
-
-    Only right eigenvectors are solved for: since ``L == L.T``, the left ones
-    are ``conj(r_j) / conj(r_j^T r_j)``, paired so that ``l_j^dag r_j = 1``.
-    If that pairing misses ``_PAIRING_TOL`` (a degenerate eigenspace whose
-    LAPACK basis is not c-orthogonal, or ``H`` only nearly symmetric) the
-    left set is rebuilt from the inverse of the right eigenvector matrix,
-    which enforces completeness directly.
+    """Biorthogonal eigendecomposition of the generator L = -iH, in a
+    c-orthogonal basis of unit right eigenvectors (see ``_modes``).
 
     The result is cached on ``H`` (whose matrix is a private read-only copy),
-    so later calls for the same instance, with ``DEGENERACY_CONDITION`` and
-    ``_PAIRING_TOL`` unchanged, return the same read-only ``SpectralData``
-    without another solve.
+    so later calls for the same instance return the same read-only
+    ``SpectralData`` without another solve.
     """
-    thresholds = (DEGENERACY_CONDITION, _PAIRING_TOL)
     cacheable = not H.matrix.flags.writeable
     cached = vars(H).get("_spectral")
-    if cacheable and cached is not None and cached[0] == thresholds:
-        return cached[1]
+    if cacheable and cached is not None:
+        return cached
 
     L = -1j * H.matrix
     if not np.all(np.isfinite(L)):
         raise NumericError("generator contains non-finite entries")
-    w, vr = np.linalg.eig(L)
-
-    left, condition, paired = _c_product_left(vr)
-    condition = float(condition)
-    if not paired:
-        left = np.linalg.inv(vr).conj().T
-        condition = float(_condition(left))
-    degenerate = bool(_degenerate(condition))
-
-    w, vr, left = _sorted_modes(w, vr, left)
-    sd = SpectralData(
-        eigenvalues=w,
-        right_vectors=vr,
-        left_vectors=left,
-        condition=condition,
-        degenerate_warning=degenerate,
-    )
-    for a in (sd.eigenvalues, sd.right_vectors, sd.left_vectors):
+    w, vr, c_norms, condition = _modes(L)
+    sd = SpectralData(eigenvalues=w, right_vectors=vr, c_norms=c_norms,
+                      condition=float(condition))
+    for a in (sd.eigenvalues, sd.right_vectors, sd.c_norms):
         a.setflags(write=False)
     if cacheable:
-        object.__setattr__(H, "_spectral", (thresholds, sd))
+        object.__setattr__(H, "_spectral", sd)
     return sd
 
 
-def _c_product_left(vr: np.ndarray):
-    """Left vectors of right eigenvector matrices ``vr`` of complex-symmetric
-    generators, shape ``(..., n, n)`` with any leading shape.
+def _modes(L: np.ndarray):
+    """Sorted c-orthogonal eigendecomposition of complex-symmetric generators
+    ``L`` of shape ``(..., n, n)``: ``(eigenvalues, right_vectors, c_norms,
+    condition)``, shapes ``(..., n)``, ``(..., n, n)``, ``(..., n)``, ``(...)``.
 
-    Returns ``(left, condition, paired)`` with shapes ``(..., n, n)``,
-    ``(...)`` and ``(...)``.  Since ``L == L.T``, ``l_j = conj(r_j) / conj(r_j^T r_j)``.
-    A matrix with a self-orthogonal ``r_j`` (``|r_j^T r_j| < 1e-300``: an
-    exceptional point) gets ``left = conj(vr)`` and ``condition = inf``.  Any
-    other matrix is ``paired`` unless ``max |l_j^dag r_k - delta_jk|`` exceeds
-    ``_PAIRING_TOL``; an unpaired matrix's ``left`` and ``condition`` are not
-    the inverse's and must be rebuilt or discarded by the caller.
+    Only right eigenvectors are solved for.  Columns whose pairing ``l_j^dag
+    r_k = (R^T R)_jk / (R^T R)_jj`` misses ``delta_jk`` by more than
+    ``_PAIRING_TOL`` (a degenerate eigenspace's LAPACK basis) go through
+    ``_c_orthogonalize``.  A self-orthogonal ``r_j`` (an exceptional point)
+    leaves a non-finite ``condition``.  Raises ``np.linalg.LinAlgError``.
     """
-    rtr = np.einsum("...ij,...ij->...j", vr, vr)
-    exceptional = np.min(np.abs(rtr), axis=-1) < 1e-300
+    w, vr = np.linalg.eig(L)
+    unpaired = vr.swapaxes(-1, -2) @ vr  # R^T R, rebound to the mask: no gram kept
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        left = vr.conj() / rtr.conj()[..., None, :]
-        if exceptional.any():
-            left[exceptional] = vr[exceptional].conj()
-        pairing = np.abs(left.conj().swapaxes(-1, -2) @ vr - np.eye(vr.shape[-1]))
-        pairing = pairing.max(axis=(-2, -1))
-        condition = np.where(exceptional, math.inf, _condition(left))
-    return left, condition, exceptional | ~(pairing > _PAIRING_TOL)
+        unpaired /= np.diagonal(unpaired, axis1=-2, axis2=-1)[..., :, None]
+        unpaired = np.abs(unpaired - np.eye(vr.shape[-1])) > _PAIRING_TOL
+        unpaired |= unpaired.swapaxes(-1, -2)
+        for idx in map(tuple, np.argwhere(unpaired.any(axis=(-2, -1)))):
+            _c_orthogonalize(vr[idx], np.flatnonzero(unpaired[idx].any(axis=-1)))
+        c_norms = np.einsum("...ij,...ij->...j", vr, vr)
+        condition = np.max(1.0 / np.abs(c_norms), axis=-1)
+    order = np.lexsort((w.imag, -w.real), axis=-1)
+    return (np.take_along_axis(w, order, axis=-1),
+            np.take_along_axis(vr, order[..., None, :], axis=-1),
+            np.take_along_axis(c_norms, order, axis=-1), condition)
 
 
-def _condition(left: np.ndarray) -> np.ndarray:
-    """``max_j ||l_j||`` for each matrix of shape ``(..., n, n)``: for unit
-    ``r_j``, the largest eigenvalue condition number."""
-    return np.linalg.norm(left, axis=-2).max(axis=-1)
+def _c_orthogonalize(r: np.ndarray, cols) -> None:
+    """Make the columns ``cols`` of ``r`` c-orthogonal and unit length, in place.
+
+    Modified Gram-Schmidt under ``x^T y``, pivoting on the largest
+    ``|r_k^T r_k|``; where all are below half of some ``|r_a^T r_b|`` (a
+    nearly self-orthogonal basis), on ``r_a +- r_b``, whose c-norm is at least
+    ``2 |r_a^T r_b|``.  The new columns are then projected out of every other
+    column whose pairing with them misses ``_PAIRING_TOL``.
+    """
+    cols, done = list(cols), list(cols)
+    while cols:
+        g = r[:, cols].T @ r[:, cols]
+        i = int(np.argmax(np.abs(np.diagonal(g))))
+        a, b = np.unravel_index(np.argmax(np.abs(g)), g.shape)
+        if abs(g[i, i]) < abs(g[a, b]) / 2:
+            sign = 1 if (np.conj(g[a, a] + g[b, b]) * g[a, b]).real >= 0 else -1
+            r[:, cols[a]] += sign * r[:, cols[b]]
+            i = a
+        k = cols.pop(i)
+        r[:, k] /= np.linalg.norm(r[:, k])
+        r[:, cols] -= np.outer(r[:, k], (r[:, k] @ r[:, cols]) / (r[:, k] @ r[:, k]))
+    q = r[:, done]
+    coef = (q.T @ r) / np.einsum("ij,ij->j", q, q)[:, None]
+    coef[:, done] = 0  # the new columns themselves stay, as do columns already paired
+    r -= q @ np.where(np.abs(coef) > _PAIRING_TOL, coef, 0)
 
 
 def _degenerate(condition):
     """Whether ``condition`` flags a near-defective (exceptional) point."""
     return ~np.isfinite(condition) | (condition > DEGENERACY_CONDITION)
-
-
-def _sorted_modes(w: np.ndarray, vr: np.ndarray, left: np.ndarray):
-    """Modes by decay rate ``-Re(lambda)`` ascending (ties by ``Im(lambda)``),
-    for ``w`` of shape ``(..., n)`` and vectors of shape ``(..., n, n)``."""
-    order = np.lexsort((w.imag, -w.real), axis=-1)
-    cols = order[..., None, :]
-    return (np.take_along_axis(w, order, axis=-1), np.take_along_axis(vr, cols, axis=-1),
-            np.take_along_axis(left, cols, axis=-1))
 
 
 def _fit_log_linear(x, y):
@@ -166,8 +169,8 @@ def overlap_weights(sd: SpectralData, site: int = 1) -> np.ndarray:
     """
     if not 1 <= site <= sd.n:
         raise IndexError(f"site {site} out of range 1..{sd.n}")
-    s = site - 1
-    return sd.right_vectors[s, :] * np.conj(sd.left_vectors[s, :])
+    r = sd.right_vectors[site - 1, :]
+    return r * (r / sd.c_norms)
 
 
 def site_overlap(sd: SpectralData, mode: int, site: int = 1) -> float:
@@ -184,7 +187,6 @@ class LocalizationProfile:
     length: float
     r_squared: float
     delocalized: bool
-    stride: int
 
 
 def localization_profile(mode_vector, support_floor: float = 1e-14) -> LocalizationProfile:
@@ -216,13 +218,13 @@ def localization_profile(mode_vector, support_floor: float = 1e-14) -> Localizat
         if math.isnan(r2):
             r2 = 0.0
         if best is None or r2 > best[0] + 1e-9:
-            best = (r2, slope, stride)
+            best = (r2, slope)
 
     if best is None:
-        return LocalizationProfile(site0 + 1, math.inf, 0.0, True, 1)
-    r2, slope, stride = best
+        return LocalizationProfile(site0 + 1, math.inf, 0.0, True)
+    r2, slope = best
     length = math.inf if slope == 0 else 1.0 / abs(slope)
-    return LocalizationProfile(site0 + 1, length, r2, r2 < 0.9, stride)
+    return LocalizationProfile(site0 + 1, length, r2, r2 < 0.9)
 
 
 @dataclass(frozen=True)

@@ -249,6 +249,20 @@ def winding_three_site_closed_form(J1, J2, J3, J, eps1=0.0, eps2=0.0) -> Winding
     return WindingResult(w, "closed_form")
 
 
+def chain_winding(model: str, params: dict):
+    """``(cell_size, bloch, closed_form)`` of a canonical chain: its unit-cell size
+    and callables returning its ``BlochHamiltonian`` and closed-form ``WindingResult``."""
+    p = params
+    if model == "ssh":
+        return (2, lambda: bloch_ssh(p["J1"], p["J2"], p["Gamma"]),
+                lambda: winding_ssh_closed_form(p["J1"], p["J2"]))
+    if model == "three-site":
+        bonds = (p["J1"], p["J2"], p["J3"], p["J"], p.get("eps1", 0.0), p.get("eps2", 0.0))
+        return (3, lambda: bloch_three_site(*bonds, p["Gamma"]),
+                lambda: winding_three_site_closed_form(*bonds))
+    raise SpecificationError(f"{model!r} has no winding number; expected 'ssh' or 'three-site'")
+
+
 # ---------------------------------------------------------------------------
 # Bulk-edge correspondence report for open chains.
 # ---------------------------------------------------------------------------
@@ -257,7 +271,6 @@ def winding_three_site_closed_form(J1, J2, J3, J, eps1=0.0, eps2=0.0) -> Winding
 class BranchFit:
     branch: int
     slope: float
-    intercept: float
     r_squared: float
     n_points: int
 
@@ -300,19 +313,12 @@ def bulk_edge_report(model: str, params: dict, N_list: Sequence[int],
     size.  Exact dark modes (rate below 1e-13) are excluded from the fits.
     """
     n_list = sorted(int(n) for n in N_list)
+    if repeated := sorted({n for n in n_list if n_list.count(n) > 1}):
+        raise ValueError(f"system sizes must be distinct; repeated: {repeated}")
     if len(n_list) < 4:
         raise ValueError("need at least four system sizes for scaling fits")
-    if model == "ssh":
-        w_closed = winding_ssh_closed_form(params["J1"], params["J2"]).W
-        cell = 2
-    elif model == "three-site":
-        w_closed = winding_three_site_closed_form(
-            params["J1"], params["J2"], params["J3"], params["J"],
-            params.get("eps1", 0.0), params.get("eps2", 0.0),
-        ).W
-        cell = 3
-    else:
-        raise SpecificationError("bulk_edge_report supports 'ssh' and 'three-site'")
+    cell, _, closed_form = chain_winding(model, params)
+    w_closed = closed_form().W
 
     rows = []
     branch_rates = {m: {} for m in range(n_branches)}
@@ -340,10 +346,10 @@ def bulk_edge_report(model: str, params: dict, N_list: Sequence[int],
         pts = [(n, r) for n, r in sorted(branch_rates[m].items()) if r > 1e-13]
         if len(pts) < 3:
             continue
-        slope, intercept, r2 = _fit_log_linear(*zip(*pts))
+        slope, _, r2 = _fit_log_linear(*zip(*pts))
         if math.isnan(r2):
             r2 = 1.0
-        fits.append(BranchFit(m, slope, intercept, r2, len(pts)))
+        fits.append(BranchFit(m, slope, r2, len(pts)))
 
     eps_used = eps_dark if eps_dark is not None else -1.0
     return BulkEdgeReport(model, dict(params), tuple(rows), tuple(fits), w_closed, eps_used)

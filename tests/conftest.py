@@ -51,3 +51,16 @@ def random_network(rng: np.random.Generator, max_sites: int = 6) -> netmodel.Net
             if j == i + 1 or rng.random() < 0.3:  # keep chains connected, sprinkle extras
                 edges.append((i, j, float(rng.uniform(-2, 2))))
     return netmodel.NetworkSpec(tuple(sites), tuple(edges))
+
+
+def star_network(couplings, loss: float = 1.0, detuning: float = 0.0) -> netmodel.NetworkSpec:
+    """Qubit at the centre of identical lossy leaves, coupled by ``couplings``.
+
+    The qubit couples only to the leaf combination along ``couplings``, so the
+    other ``len(couplings) - 1`` combinations share one eigenvalue of L,
+    ``-i * detuning - loss / 2``.
+    """
+    sites = (netmodel.SiteSpec(netmodel.QUBIT, 0.0),)
+    sites += (netmodel.SiteSpec(netmodel.CAVITY, detuning, loss),) * len(couplings)
+    edges = tuple((1, j + 2, g) for j, g in enumerate(couplings))
+    return netmodel.NetworkSpec(sites, edges)

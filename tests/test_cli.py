@@ -185,6 +185,13 @@ def test_scaling_command(tmp_path):
     assert all(r[3] == "1" for r in rows)
 
 
+def test_scaling_repeated_sizes_exit_two(capsys):
+    assert main(["scaling", "--model", "ssh", "--Ns", "6,6,6,9"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "system sizes must be distinct; repeated: [6]" in captured.err
+
+
 def test_disorder_command(tmp_path):
     out = tmp_path / "dis.csv"
     assert main(["disorder", "--model", "ssh", "--N", "3", "--mu", "0.4",

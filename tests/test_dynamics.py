@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from nhtop import dynamics, netmodel, spectral
 from nhtop.analytics import dark_sector_prediction, ssh_odd_asymptotic_coherence
 from nhtop.errors import NumericError
-from conftest import random_network
+from conftest import random_network, star_network
 
 
 class TestCoherenceTrace:
@@ -131,10 +131,15 @@ class TestSpectralBatch:
         _, ok = dynamics._spectral_batch(np.array([self.H.generator] * 4), np.linspace(0.0, 2.0, 5))
         assert ok.tolist() == [False, False, False, True]
 
-    def test_unpaired_rows_are_flagged(self, monkeypatch):
-        monkeypatch.setattr(spectral, "_PAIRING_TOL", -1.0)  # decompose would rebuild from inv
-        _, ok = dynamics._spectral_batch(np.array([self.H.generator]), np.linspace(0.0, 2.0, 5))
-        assert not ok[0]
+    def test_star_rows_equal_coherence_trace(self):
+        # a degenerate eigenspace is c-orthogonalized inside the batch
+        t = np.linspace(0.0, 20.0, 41)
+        stars = [netmodel.build_effective_hamiltonian(star_network(g))
+                 for g in ([1.0] * 4, [0.3, -0.8, 1.1])]
+        for H in stars:
+            values, ok = dynamics._spectral_batch(np.array([H.generator] * 2), t)
+            assert ok.tolist() == [True, True]
+            assert np.array_equal(values, [dynamics.coherence_trace(H, t).values] * 2)
 
 
 class TestSuperoperatorTrace:

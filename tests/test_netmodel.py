@@ -51,6 +51,16 @@ class TestBuildEffectiveHamiltonian:
         H = netmodel.build_effective_hamiltonian(spec)
         assert np.allclose(H.matrix, [[0, 0.7], [0.7, -2j]], atol=1e-15)
 
+    def test_stored_matrix_is_exactly_symmetric(self):
+        # an asymmetry within the validation tolerance is averaged away
+        m = np.array([[0.0, 1.0], [1.0 + 1e-14, -0.5j]])
+        H = netmodel.EffectiveHamiltonian(m)
+        assert np.array_equal(H.matrix, H.matrix.T)
+        assert np.array_equal(H.matrix, (m + m.T) / 2)
+        assert not H.matrix.flags.writeable
+        sym = netmodel.build_ssh_model(5, 1.0, 1.8, 0.5).matrix
+        assert np.array_equal(netmodel.EffectiveHamiltonian(sym).matrix, sym)
+
     def test_no_edges_is_diagonal(self):
         spec = netmodel.NetworkSpec(
             (netmodel.SiteSpec(netmodel.QUBIT, 0.3), netmodel.SiteSpec(netmodel.CAVITY, -0.8, 2.0)),

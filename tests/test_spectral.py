@@ -3,7 +3,7 @@ import pytest
 
 from nhtop import dynamics, netmodel, spectral
 from nhtop.analytics import impurity_prediction, ssh_odd_asymptotic_coherence
-from conftest import random_network
+from conftest import random_network, star_network
 
 
 def test_diagonal_matrix():
@@ -189,7 +189,7 @@ def test_localized_at_qubit_counts_match_winding():
         assert n_loc == w
 
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 
 @settings(max_examples=40, deadline=None)
@@ -211,46 +211,53 @@ def test_localization_fit_recovers_synthetic_profiles(stride, npts, length, left
     assert prof.length == pytest.approx(length, rel=1e-6)
 
 
-def _star_network(leaves: int) -> netmodel.EffectiveHamiltonian:
-    """Qubit at the centre of identical lossy leaves.
-
-    The qubit couples only to the symmetric leaf combination, so the other
-    ``leaves - 1`` combinations share one eigenvalue, -Gamma/2.
-    """
-    sites = (netmodel.SiteSpec(netmodel.QUBIT, 0.0),)
-    sites += (netmodel.SiteSpec(netmodel.CAVITY, 0.0, 1.0),) * leaves
-    edges = tuple((1, j, 1.0) for j in range(2, leaves + 2))
-    return netmodel.build_effective_hamiltonian(netmodel.NetworkSpec(sites, edges))
-
-
 class TestDegenerateEigenspace:
-    """A basis of a degenerate eigenspace need not be c-orthogonal, so the
-    left vectors conj(r_j) / conj(r_j^T r_j) miss the pairing check there
-    and ``decompose`` rebuilds them from the inverse of the right vectors.
-    "mixed" forces such a basis whatever basis LAPACK returns."""
+    """A basis of a degenerate eigenspace need not be c-orthogonal, so
+    ``decompose`` c-orthogonalizes it before the left vectors
+    conj(r_j) / conj(r_j^T r_j) are paired with it.  "mixed" forces such a
+    basis out of the eigensolver whatever basis LAPACK returns;
+    "self-orthogonal" one whose first two vectors have r^T r = 0."""
 
-    @pytest.fixture(params=["lapack", "mixed"])
+    @pytest.fixture(params=["lapack", "mixed", "self-orthogonal"])
     def star(self, request, monkeypatch):
-        if request.param == "mixed":
-            eig = np.linalg.eig
+        eig = np.linalg.eig
 
-            def mixed_eig(a):
-                w, v = eig(a)
-                idx = np.flatnonzero(np.abs(w + 0.5) < 1e-9)
-                mix = np.eye(idx.size) + np.diag(np.full(idx.size - 1, 1j), 1)
-                v[:, idx] = v[:, idx] @ mix
-                v[:, idx] /= np.linalg.norm(v[:, idx], axis=0)
-                return w, v
+        def mixed_eig(a):
+            w, v = eig(a)
+            idx = np.flatnonzero(np.abs(w + 0.5) < 1e-9)
+            mix = np.eye(idx.size) + np.diag(np.full(idx.size - 1, 1j), 1)
+            v[:, idx] = v[:, idx] @ mix
+            v[:, idx] /= np.linalg.norm(v[:, idx], axis=0)
+            r = v[:, idx]
+            assert np.max(np.abs(r.T @ r - np.diag(np.diag(r.T @ r)))) > 0.1
+            return w, v
 
-            monkeypatch.setattr(np.linalg, "eig", mixed_eig)
-        H = _star_network(4)
+        def self_orthogonal_eig(a):
+            w, v = eig(a)
+            idx = np.flatnonzero(np.abs(w + 0.5) < 1e-9)
+            # real orthonormal leaf combinations orthogonal to the bright one
+            u = np.zeros((5, 3))
+            u[1:, :] = np.linalg.qr(np.eye(4, 3) - np.eye(4, 3, -1))[0]
+            v[:, idx] = np.column_stack([u[:, 0] + 1j * u[:, 1], u[:, 0] - 1j * u[:, 1],
+                                         np.sqrt(2) * u[:, 2]]) / np.sqrt(2)
+            r = v[:, idx]
+            assert np.max(np.abs(np.diag(r.T @ r)[:2])) < 1e-15
+            return w, v
+
+        if request.param != "lapack":
+            forced = {"mixed": mixed_eig, "self-orthogonal": self_orthogonal_eig}
+            monkeypatch.setattr(np.linalg, "eig", forced[request.param])
+        H = netmodel.build_effective_hamiltonian(star_network([1.0] * 4))
         sd = spectral.decompose(H)
         degenerate = np.abs(sd.eigenvalues + 0.5) < 1e-9
         assert np.count_nonzero(degenerate) == 3
-        if request.param == "mixed":
-            r = sd.right_vectors[:, degenerate]
-            assert np.max(np.abs(r.T @ r - np.diag(np.diag(r.T @ r)))) > 0.1
         return H, sd
+
+    def test_basis_is_c_orthogonal_and_unit(self, star):
+        _, sd = star
+        r = sd.right_vectors
+        assert np.max(np.abs(r.T @ r - np.diag(sd.c_norms))) < 1e-12
+        assert np.max(np.abs(np.linalg.norm(r, axis=0) - 1)) < 1e-12
 
     def test_weights_sum_to_one_at_every_site(self, star):
         H, sd = star
@@ -272,6 +279,35 @@ class TestDegenerateEigenspace:
         assert auto.method == "spectral"
         ref = dynamics.coherence_trace(H, times, method="expm")
         assert np.max(np.abs(auto.values - ref.values)) < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=6),   # qubit-leaf couplings
+    st.floats(0.5, 4.0),                                     # leaf loss rate
+    st.floats(-1.0, 1.0),                                    # leaf detuning
+)
+# cases found by longer runs: a nearly self-orthogonal LAPACK basis (first
+# two), and a leaf left alone whose pairing the repaired columns would spoil
+@example([2.8434903975407284e-252, 1.6934036345764544e-72], 1.0, 0.0)
+@example([0.001953125, 1.0, 1.0, 1.0, 1.0], 1.0, 0.0)
+@example([0.028618480544965186, 1.9558927333301606, 1.3831463960180335, 1.9558927333301606,
+          1e-12], 0.5, 0.028618480544965186)
+def test_star_degenerate_leaves_property(couplings, loss, detuning):
+    # the qubit and the bright leaf combination meet at an exceptional point
+    # when ||g|| = loss / 4; stay clear of it
+    assume(abs(np.linalg.norm(couplings) - loss / 4) > 0.05 * loss)
+    H = netmodel.build_effective_hamiltonian(star_network(couplings, loss, detuning))
+    sd = spectral.decompose(H)
+    r = sd.right_vectors
+    assert np.max(np.abs(r.T @ r - np.diag(np.diag(r.T @ r)))) < 1e-12
+    for site in range(1, H.dim + 1):
+        assert abs(np.sum(spectral.overlap_weights(sd, site)) - 1) < 1e-12
+    times = np.linspace(0.0, 20.0, 30)
+    auto = dynamics.coherence_trace(H, times)
+    assert auto.method == "spectral"
+    ref = dynamics.coherence_trace(H, times, method="expm")
+    assert np.max(np.abs(auto.values - ref.values)) < 1e-12
 
 
 def test_exceptional_point_reports_large_condition(monkeypatch):
@@ -315,18 +351,10 @@ class TestDecomposeCache:
 
     def test_cached_arrays_are_read_only(self):
         sd = spectral.decompose(netmodel.build_ssh_model(4, 1.0, 1.8, 0.5))
-        for arr in (sd.eigenvalues, sd.right_vectors, sd.left_vectors):
+        for arr in (sd.eigenvalues, sd.right_vectors, sd.c_norms):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 0.0
-
-    def test_changed_pairing_tolerance_solves_again(self, monkeypatch):
-        H = netmodel.build_ssh_model(4, 1.0, 1.8, 0.5)
-        sd = spectral.decompose(H)
-        monkeypatch.setattr(spectral, "_PAIRING_TOL", -1.0)  # always rebuild from inv(vr)
-        sd2 = spectral.decompose(H)
-        assert sd2 is not sd
-        assert spectral.decompose(H) is sd2
 
     def test_writeable_matrix_is_not_cached(self):
         H = netmodel.build_ssh_model(4, 1.0, 1.8, 0.5)

@@ -226,6 +226,16 @@ class TestBulkEdgeReport:
         for row in rep.rows[2:]:      # once both branches are under threshold
             assert row.n_localized_site1 == rep.W_closed_form
 
+    def test_repeated_sizes_rejected(self):
+        with pytest.raises(ValueError, match=r"repeated: \[6\]"):
+            topology.bulk_edge_report("ssh", {"J1": 1.0, "J2": 1.8, "Gamma": 0.5},
+                                      [6, 6, 6, 9])
+
+    def test_unsupported_model_rejected(self):
+        with pytest.raises(SpecificationError, match="'impurity' has no winding number"):
+            topology.bulk_edge_report("impurity", {"J": 1.0, "kappa": 0.5, "Gamma": 4.0},
+                                      [4, 6, 8, 10])
+
     def test_flat_branch_fits_with_unit_r_squared(self, monkeypatch):
         # every N decomposes to the same spectrum, so each branch is flat in N
         sd = topology.decompose(netmodel.build_ssh_model(8, 1.0, 1.8, 0.5))
