@@ -358,7 +358,7 @@ def fit_exponential_rate(times, values, floor: float = 1e-300):
     if np.count_nonzero(mask) < 2:
         raise ValueError("not enough positive samples for a rate fit")
     slope, intercept, _ = spectral._fit_log_linear(t[mask], v[mask])
-    return -slope, intercept
+    return -float(slope), float(intercept)
 
 
 def write_trace_csv(stream, trace: CoherenceTrace, header_lines=()):

@@ -107,16 +107,23 @@ class EffectiveHamiltonian:
         m = _frozen(self.matrix)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise SpecificationError("matrix must be square")
-        scale = max(1.0, float(np.max(np.abs(m))) if m.size else 1.0)
-        # temporaries are not kept: the matrix may be large
-        if np.max(np.abs(((m + m.conj().T) / 2).imag)) > _HERM_TOL * scale:
+        scale = float(np.max(np.abs(m)))
+        if not np.isfinite(scale):
+            raise SpecificationError("matrix entries must be finite")
+        tol = _HERM_TOL * max(1.0, scale)
+        # on the real views: (m + m^dag)/2 has imaginary part (im - im.T)/2, and
+        # (m - m^dag)/2 has entries ((re - re.T) + i (im + im.T))/2
+        re, im = m.real, m.imag
+        re_asym, im_asym = re - re.T, im - im.T
+        if np.max(np.abs(im_asym)) / 2 > tol:
             raise SpecificationError("Hermitian part must be real symmetric")
-        anti = (m - m.conj().T) / 2
-        if m.shape[0] > 1 and np.max(np.abs(anti - np.diag(np.diag(anti)))) > _HERM_TOL * scale:
+        anti = np.hypot(re_asym, im + im.T)
+        np.fill_diagonal(anti, 0.0)
+        if np.max(anti) / 2 > tol:
             raise SpecificationError("anti-Hermitian part must be diagonal")
-        if np.max(np.diag(anti).imag) > _HERM_TOL * scale:
+        if np.max(np.diagonal(im)) > tol:
             raise SpecificationError("on-site loss terms must have non-positive imaginary part")
-        if not np.array_equal(m, m.T):  # else (m + m.T) / 2 is m itself: no copy
+        if re_asym.any() or im_asym.any():  # else (m + m.T) / 2 is m itself: no copy
             m = _frozen((m + m.T) / 2)
         object.__setattr__(self, "matrix", m)
 

@@ -8,12 +8,13 @@ mode searches, localization fits) builds on this decomposition, computed once
 per ``EffectiveHamiltonian`` and cached on it.  ``_modes`` accepts any leading
 shape: ``decompose`` runs it on one matrix, disorder ensembles on a stack of
 realizations.  ``_fit_log_linear`` is the one log-linear fit behind every
-localization length, branch slope and decay-rate fit.
+localization length, branch slope and decay-rate fit; it fits any stack of
+lines at once, so ``_localization`` fits every eigenvector of a
+decomposition in one batched pass, a block of columns at a time.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,8 @@ DEGENERACY_CONDITION = 1e10
 # largest accepted |(R^T R)_jk / (R^T R)_jj|, j != k: the 1e-12 budget within
 # which the qubit weights must sum to 1 for the spectral route
 _PAIRING_TOL = 1e-12
+# elements per temporary of the batched localization fits (as per disorder chunk)
+_BLOCK = 2**14
 
 
 @dataclass(frozen=True)
@@ -149,16 +152,38 @@ def _degenerate(condition):
     return ~np.isfinite(condition) | (condition > DEGENERACY_CONDITION)
 
 
-def _fit_log_linear(x, y):
-    """Least-squares line through ``(x, ln y)``: ``(slope, intercept, r_squared)``,
-    with ``r_squared`` NaN when ``ln y`` is constant."""
+def _fit_log_linear(x, y, support=None):
+    """Least-squares lines through ``(x, ln y)`` along the last axis:
+    ``(slope, intercept, r_squared)`` arrays of the leading shape.
+
+    ``support`` is a 0/1 mask of the points each line is fitted through (all
+    of them by default); ``y`` is read only there.  Closed form on centered
+    sums.  A fit is flat when the spread of ``ln y`` about its mean is within
+    rounding of the values themselves: ``sum (ln y - mean)^2 <= n eps (1 +
+    max |ln y|)^2``, a sum of squares at the rounding level of that of ``n``
+    values of size ``1 + max |ln y|`` (``ln y`` inherits an absolute rounding
+    from ``y`` besides its own relative one).  A flat fit, a single point
+    among them, has slope 0 and ``r_squared`` NaN.
+    """
     x = np.asarray(x, dtype=float)
-    y = np.log(y)
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    sstot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 - float(np.sum(resid**2)) / sstot if sstot > 0 else math.nan
-    return float(slope), float(intercept), r2
+    if support is None:
+        support = np.ones(np.shape(y), dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = support.astype(float)
+        ly = np.log(np.where(support, y, 1.0))
+        n = w.sum(axis=-1)
+        xm = (w * x).sum(axis=-1) / n
+        ym = (w * ly).sum(axis=-1) / n
+        dx = w * (x - xm[..., None])
+        dy = w * (ly - ym[..., None])
+        sxx = (dx * dx).sum(axis=-1)
+        sxy = (dx * dy).sum(axis=-1)
+        syy = (dy * dy).sum(axis=-1)
+        scale = 1.0 + np.abs(ly).max(axis=-1, initial=0.0)
+        flat = syy <= n * np.finfo(float).eps * scale * scale
+        slope = np.where(flat, 0.0, sxy / sxx)
+        r_squared = np.where(flat, np.nan, sxy * sxy / (sxx * syy))
+    return slope, ym - slope * xm, r_squared
 
 
 def overlap_weights(sd: SpectralData, site: int = 1) -> np.ndarray:
@@ -198,33 +223,49 @@ def localization_profile(mode_vector, support_floor: float = 1e-14) -> Localizat
     chain models vanish identically on every second (or third) site, so the
     fit runs over the residue class of the peak site for strides 1..3 and the
     best-conditioned fit wins, with ties going to the smallest stride.  The
-    length is per lattice site.  Fits with R^2 < 0.9 (or fewer than two
-    support points) are flagged delocalized.
+    length is per lattice site, infinite for a flat fit.  Fits with R^2 < 0.9
+    (or fewer than two support points) are flagged delocalized.
     """
     v = np.asarray(mode_vector, dtype=complex).ravel()
-    p = np.abs(v) ** 2
-    pmax = float(p.max()) if p.size else 0.0
-    if pmax <= 0:
+    if not np.any(np.abs(v) ** 2):
         raise ValueError("zero vector has no localization profile")
-    site0 = int(np.argmax(p))
-    support = np.flatnonzero(p > support_floor * pmax)
+    return LocalizationProfile(*(a[0].item() for a in _localization(v[:, None], support_floor)))
 
-    best = None
-    for stride in (1, 2, 3):
-        idx = support[(support - site0) % stride == 0]
-        if idx.size < 2:
-            continue
-        slope, _, r2 = _fit_log_linear(idx, p[idx])
-        if math.isnan(r2):
-            r2 = 0.0
-        if best is None or r2 > best[0] + 1e-9:
-            best = (r2, slope)
 
-    if best is None:
-        return LocalizationProfile(site0 + 1, math.inf, 0.0, True)
-    r2, slope = best
-    length = math.inf if slope == 0 else 1.0 / abs(slope)
-    return LocalizationProfile(site0 + 1, length, r2, r2 < 0.9)
+def _localization(vectors, support_floor: float = 1e-14):
+    """``localization_profile`` of every (nonzero) column of ``vectors``, shape
+    ``(n, k)``: ``(site, length, r_squared, delocalized)`` arrays of shape
+    ``(k,)``.
+
+    Columns go through in blocks of ``_BLOCK // n``, so each temporary holds
+    about ``_BLOCK`` elements; within a block, one ``_fit_log_linear`` call
+    per stride fits every column.
+    """
+    n, k = vectors.shape
+    x = np.arange(n)
+    site = np.empty(k, dtype=int)
+    length = np.empty(k)
+    r_squared = np.empty(k)
+    width = max(1, _BLOCK // n)
+    for start in range(0, k, width):
+        cols = slice(start, start + width)
+        p = np.abs(vectors[:, cols].T) ** 2
+        peak = np.argmax(p, axis=-1)
+        support = p > support_floor * p.max(axis=-1, keepdims=True)
+        best_r2 = np.full(p.shape[0], -np.inf)
+        best_slope = np.zeros(p.shape[0])
+        for stride in (1, 2, 3):
+            on = support & ((x - peak[:, None]) % stride == 0)
+            slope, _, r2 = _fit_log_linear(x, p, on)
+            r2 = np.where(on.sum(axis=-1) < 2, -np.inf, np.nan_to_num(r2, nan=0.0))
+            better = r2 > best_r2 + 1e-9
+            best_r2 = np.where(better, r2, best_r2)
+            best_slope = np.where(better, slope, best_slope)
+        site[cols] = peak + 1
+        with np.errstate(divide="ignore"):
+            length[cols] = 1.0 / np.abs(best_slope)
+        r_squared[cols] = np.where(best_r2 == -np.inf, 0.0, best_r2)
+    return site, length, r_squared, r_squared < 0.9
 
 
 @dataclass(frozen=True)
@@ -252,22 +293,21 @@ def find_quasi_dark_modes(sd: SpectralData, eps_dark: float) -> list[EdgeMode]:
     if eps_dark <= 0:
         raise ValueError("eps_dark must be positive")
     c1 = np.abs(overlap_weights(sd, 1))
-    modes = []
-    for j in np.flatnonzero(sd.decay_rates < eps_dark):
-        prof = localization_profile(sd.right_vectors[:, j])
-        modes.append(
-            EdgeMode(
-                index=int(j),
-                eigenvalue=complex(sd.eigenvalues[j]),
-                decay_rate=float(sd.decay_rates[j]),
-                localization_site=prof.site,
-                localization_length=prof.length,
-                overlap_site1=float(c1[j]),
-                delocalized=prof.delocalized,
-                r_squared=prof.r_squared,
-            )
+    dark = np.flatnonzero(sd.decay_rates < eps_dark)
+    site, length, r2, delocalized = _localization(sd.right_vectors[:, dark])
+    return [
+        EdgeMode(
+            index=int(j),
+            eigenvalue=complex(sd.eigenvalues[j]),
+            decay_rate=float(sd.decay_rates[j]),
+            localization_site=int(site[i]),
+            localization_length=float(length[i]),
+            overlap_site1=float(c1[j]),
+            delocalized=bool(delocalized[i]),
+            r_squared=float(r2[i]),
         )
-    return modes
+        for i, j in enumerate(dark)
+    ]
 
 
 def is_localized_at_qubit(mode: EdgeMode, cell_size: int = 1, weight_threshold: float = 0.1) -> bool:
@@ -277,12 +317,7 @@ def is_localized_at_qubit(mode: EdgeMode, cell_size: int = 1, weight_threshold: 
 
 def spectrum_rows(sd: SpectralData):
     """Rows for the spectrum CSV: one entry per mode, slowest decay first."""
-    c1 = np.abs(overlap_weights(sd, 1))
-    rows = []
-    for j in range(sd.n):
-        prof = localization_profile(sd.right_vectors[:, j])
-        lam = sd.eigenvalues[j]
-        rows.append(
-            (j, lam.real, lam.imag, -lam.real, c1[j], prof.site, prof.length)
-        )
-    return rows
+    lam = sd.eigenvalues
+    site, length, _, _ = _localization(sd.right_vectors)
+    return list(zip(range(sd.n), lam.real.tolist(), lam.imag.tolist(), (-lam.real).tolist(),
+                    np.abs(overlap_weights(sd, 1)).tolist(), site.tolist(), length.tolist()))

@@ -349,7 +349,7 @@ def bulk_edge_report(model: str, params: dict, N_list: Sequence[int],
         slope, _, r2 = _fit_log_linear(*zip(*pts))
         if math.isnan(r2):
             r2 = 1.0
-        fits.append(BranchFit(m, slope, r2, len(pts)))
+        fits.append(BranchFit(m, float(slope), float(r2), len(pts)))
 
     eps_used = eps_dark if eps_dark is not None else -1.0
     return BulkEdgeReport(model, dict(params), tuple(rows), tuple(fits), w_closed, eps_used)

@@ -37,6 +37,20 @@ def test_spectrum_ssh_has_one_dark_row(tmp_path):
     assert sum(1 for d in decays if d < 1e-12) == 1
 
 
+def test_spectrum_prints_no_roundoff_length(tmp_path):
+    # two bulk modes of this chain carry equal weight on every second site;
+    # fitted through rounding, that sublattice gave lengths near 3e15
+    out = tmp_path / "spec.csv"
+    argv = ["--model", "ssh", "--N", "51", "--J1", "1", "--J2", "2.2", "--gamma", "0.9"]
+    assert main(["spectrum", *argv, "--out", str(out)]) == 0
+    header, rows = _read_csv(out)
+    lengths = np.array([float(r[header.index("localization_length")]) for r in rows])
+    sites = [int(r[header.index("localization_site")]) for r in rows]
+    assert np.all(lengths < 1e6)
+    sd = nhtop.spectral.decompose(nhtop.netmodel.build_ssh_model(51, 1.0, 2.2, 0.9))
+    assert sites == list(np.argmax(np.abs(sd.right_vectors) ** 2, axis=0) + 1)
+
+
 def test_spectrum_three_site_has_two_dark_rows(tmp_path):
     out = tmp_path / "spec.csv"
     code = main(["spectrum", "--model", "three-site", "--N", "5", "--out", str(out)])

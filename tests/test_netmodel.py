@@ -61,6 +61,16 @@ class TestBuildEffectiveHamiltonian:
         sym = netmodel.build_ssh_model(5, 1.0, 1.8, 0.5).matrix
         assert np.array_equal(netmodel.EffectiveHamiltonian(sym).matrix, sym)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    def test_non_finite_hopping_rejected(self, bad):
+        with pytest.raises(SpecificationError, match="finite"):
+            netmodel.EffectiveHamiltonian(np.array([[0, bad], [bad, -1j]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, complex(0, -np.inf)])
+    def test_non_finite_on_site_term_rejected(self, bad):
+        with pytest.raises(SpecificationError, match="finite"):
+            netmodel.EffectiveHamiltonian(np.array([[0, 1], [1, bad]]))
+
     def test_no_edges_is_diagonal(self):
         spec = netmodel.NetworkSpec(
             (netmodel.SiteSpec(netmodel.QUBIT, 0.3), netmodel.SiteSpec(netmodel.CAVITY, -0.8, 2.0)),

@@ -211,6 +211,95 @@ def test_localization_fit_recovers_synthetic_profiles(stride, npts, length, left
     assert prof.length == pytest.approx(length, rel=1e-6)
 
 
+def reference_profile(v, support_floor=1e-14):
+    """One column's localization fit the way it was computed before the batched
+    ``spectral._localization``: one ``np.polyfit`` per stride.  Returns
+    ``(site, length, r_squared, flat)``, ``flat`` when no fit or only a flat
+    one (under the same rounding rule) decides the length."""
+    p = np.abs(v) ** 2
+    site0 = int(np.argmax(p))
+    support = np.flatnonzero(p > support_floor * p.max())
+    eps = np.finfo(float).eps
+    best = None
+    for stride in (1, 2, 3):
+        idx = support[(support - site0) % stride == 0]
+        if idx.size < 2:
+            continue
+        y = np.log(p[idx])
+        slope, intercept = np.polyfit(idx, y, 1)
+        sstot = np.sum((y - y.mean()) ** 2)
+        flat = sstot <= idx.size * eps * (1.0 + np.max(np.abs(y))) ** 2
+        if flat:
+            r2, slope = 0.0, 0.0
+        else:
+            r2 = 1.0 - np.sum((y - (slope * idx + intercept)) ** 2) / sstot
+        if best is None or r2 > best[0] + 1e-9:
+            best = (r2, slope, flat)
+    if best is None:
+        return site0 + 1, np.inf, 0.0, True
+    r2, slope, flat = best
+    return site0 + 1, (np.inf if slope == 0 else 1.0 / abs(slope)), r2, flat
+
+
+def assert_matches_reference(vectors, site, length, r2=None):
+    """Sites always equal; the delocalized flag wherever R^2 is not within 1e-9
+    of 0.9; length and R^2 to 1e-10 relative wherever the fit is not flat (R^2
+    to 1e-13 absolute below 1e-3, where 1 - SSres/SStot loses digits)."""
+    for j in range(vectors.shape[1]):
+        ref_site, ref_length, ref_r2, flat = reference_profile(vectors[:, j])
+        assert site[j] == ref_site, j
+        if r2 is None:
+            r2_j = ref_r2
+        else:
+            r2_j = r2[j]
+            if abs(ref_r2 - 0.9) > 1e-9:
+                assert (r2_j < 0.9) == (ref_r2 < 0.9), j
+        if not flat:
+            assert length[j] == pytest.approx(ref_length, rel=1e-10), j
+            assert r2_j == pytest.approx(ref_r2, rel=1e-10, abs=1e-13), j
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["small", "blocks", "long"]))
+@example(seed=1, layout="blocks")
+@example(seed=1, layout="long")     # a column longer than a block, vanishing on a sublattice
+@example(seed=2, layout="long")     # an equal-magnitude column longer than a block
+def test_batched_localization_matches_per_column_fits(seed, layout):
+    rng = np.random.default_rng(seed)
+    if layout == "small":
+        n, k = int(rng.integers(2, 41)), int(rng.integers(1, 13))
+    elif layout == "blocks":  # several blocks, the last one partial
+        n = int(rng.integers(300, 701))
+        width = spectral._BLOCK // n
+        k = width * int(rng.integers(1, 4)) + int(rng.integers(1, width))
+    else:
+        n, k = spectral._BLOCK + int(rng.integers(1, 2000)), 1
+    x = np.arange(n)[:, None]
+    v = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+    v *= np.exp(-x * rng.uniform(-40, 40, k) / n * (rng.random(k) < 0.7))  # some localized
+    v /= np.linalg.norm(v, axis=0)
+    for j, kind in enumerate((np.arange(k) + seed) % 4):
+        if kind == 1:    # vanishing on every 2nd or 3rd site
+            stride = int(rng.integers(2, 4))
+            v[int(rng.integers(stride))::stride, j] = 0
+        elif kind == 2:  # equal magnitude, of unit modulus or not
+            v[:, j] = rng.choice([1.0, rng.uniform(0.1, 3.0)]) * np.exp(2j * np.pi * rng.random(n))
+    v = v[:, np.any(v, axis=0)]
+    site, length, r2, _ = spectral._localization(v)
+    assert_matches_reference(v, site, length, r2)
+
+
+@pytest.mark.parametrize("model, n, params", [
+    ("ssh", 400, {"J1": 1.0, "J2": 1.8, "Gamma": 0.5}),
+    ("three-site", 402, {"J1": 1.4, "J2": 0.3, "J3": 3.0, "J": 0.7, "eps1": 0.0, "eps2": 0.0,
+                         "Gamma": 1.5}),
+])
+def test_spectrum_rows_match_per_column_fits(model, n, params):
+    sd = spectral.decompose(netmodel.build_model(model, n, params))
+    rows = spectral.spectrum_rows(sd)
+    assert_matches_reference(sd.right_vectors, [r[5] for r in rows], [r[6] for r in rows])
+
+
 class TestDegenerateEigenspace:
     """A basis of a degenerate eigenspace need not be c-orthogonal, so
     ``decompose`` c-orthogonalizes it before the left vectors
