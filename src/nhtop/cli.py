@@ -6,8 +6,8 @@ Hamiltonian, ``spectrum`` its mode table, ``coherence`` a C(t) trace,
 lifetime/overlap table, ``scaling`` the bulk-edge census over system sizes,
 and ``disorder`` a noise-averaged trace.  All numeric output is CSV with
 deterministic 17-digit formatting, so identical invocations produce
-byte-identical files.  Exit codes: 0 success, 2 configuration error,
-3 numerical failure.
+byte-identical files.  Exit codes: 0 success, 1 stdout closed early (as by
+``| head``, without a message), 2 configuration error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 from typing import Mapping
 
@@ -270,6 +271,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout closed early, as by ``| head``: no error of the configuration.
+        # Point stdout at devnull so that the flush at exit does not raise again
+        # (the note on SIGPIPE in the documentation of Python's ``signal``).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (SpecificationError, PhaseBoundaryError, ValueError, KeyError,
             OSError, json.JSONDecodeError) as exc:
         print(f"nhtop: configuration error: {exc}", file=sys.stderr)

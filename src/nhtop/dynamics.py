@@ -75,11 +75,13 @@ class CoherenceTrace:
         v = np.array(self.values, dtype=float)
         if t.shape != v.shape:
             raise ValueError("times and values must be matching 1-d arrays")
-        non_finite, negative, off_at_zero = _trace_faults(t, v)
+        non_finite, negative, above_one, off_at_zero = _trace_faults(t, v)
         if non_finite:
             raise NumericError("coherence values must be finite")
         if negative:
             raise NumericError("coherence values must be non-negative")
+        if above_one:
+            raise NumericError(f"coherence reaches {np.max(v):.6g}, above 1 beyond 1e-12")
         if off_at_zero:
             raise NumericError(f"C(0) = {v[0]!r} deviates from 1 beyond 1e-12")
         if self.method not in METHODS:
@@ -92,15 +94,19 @@ class CoherenceTrace:
 def _trace_faults(t: np.ndarray, v: np.ndarray):
     """The checks a ``CoherenceTrace`` makes, for each row of samples ``v``
     (shape ``(..., T)``) on the grid ``t``: ``(non_finite, negative,
-    off_at_zero)``, where ``off_at_zero`` means ``t[0] == 0`` and
-    ``|C(0) - 1| > 1e-12``."""
+    above_one, off_at_zero)``, where ``off_at_zero`` means ``t[0] == 0`` and
+    ``|C(0) - 1| > 1e-12``.  ``above_one`` is ``C > 1 + 1e-12`` anywhere,
+    with the budget of C(0): ``||exp(tL)|| <= 1`` for every accepted ``H``,
+    as ``L + L^dag = -2 D <= 0``, so a larger C is a roundoff rate grown
+    over a long time."""
     non_finite = ~np.isfinite(v).all(axis=-1)
     negative = (v < -1e-12).any(axis=-1)
+    above_one = (v > 1.0 + 1e-12).any(axis=-1)
     if t.size and t[0] == 0.0:
         off_at_zero = np.abs(v[..., 0] - 1.0) > 1e-12
     else:
         off_at_zero = np.zeros(v.shape[:-1], dtype=bool)
-    return non_finite, negative, off_at_zero
+    return non_finite, negative, above_one, off_at_zero
 
 
 def log_time_grid(t_max: float, n_points: int = 400, t_min: float = 1e-2) -> np.ndarray:
@@ -137,7 +143,7 @@ def _spectral_batch(L: np.ndarray, times: np.ndarray):
     """Spectral C(t) of a stack of generators ``L`` (shape ``(R, n, n)``):
     ``(values, ok)``, shapes ``(R, T)`` and ``(R,)``.
 
-    One stacked ``np.linalg.eig`` with the c-orthogonal basis, c-norms,
+    One stacked eigensolve (``spectral._eig``) with the c-orthogonal basis, c-norms,
     condition and mode order of ``spectral._modes`` (a degenerate eigenspace
     is c-orthogonalized within its own row), then the reliability test of
     ``_qubit_weights`` and the checks of ``CoherenceTrace``, each with a
@@ -150,8 +156,8 @@ def _spectral_batch(L: np.ndarray, times: np.ndarray):
     with np.errstate(all="ignore"):  # rows that fail a check are discarded
         c, ok = _qubit_weights(condition, vr, c_norms)
         values = _spectral_values(w, c, times)
-    non_finite, negative, off_at_zero = _trace_faults(times, values)
-    return values, ok & ~(non_finite | negative | off_at_zero)
+    non_finite, negative, above_one, off_at_zero = _trace_faults(times, values)
+    return values, ok & ~(non_finite | negative | above_one | off_at_zero)
 
 
 def _propagate(A: np.ndarray, times: np.ndarray, index: int) -> np.ndarray:

@@ -7,7 +7,15 @@ resolve the identity.  Everything downstream (coherence traces, quasi-dark
 mode searches, localization fits) builds on this decomposition, computed once
 per ``EffectiveHamiltonian`` and cached on it.  ``_modes`` accepts any leading
 shape: ``decompose`` runs it on one matrix, disorder ensembles on a stack of
-realizations.  ``_fit_log_linear`` is the one log-linear fit behind every
+realizations.  Its eigensolve, ``_eig``, reads the structure off the matrix:
+a bipartite generator, lossless undetuned sites bonded only to lossy sites
+that share one diagonal entry ``z`` (the ssh chain, the two-site impurity),
+is solved from one SVD of its real coupling block, whose singular values
+give every eigenvalue as a root of a quadratic; the slow roots come out
+without cancellation, so lifetimes stay resolved where a dense solve
+prints roundoff, and the SVD of an ``N/2``-square block costs a small part
+of a dense ``N``-square ``eig``.  Every other generator goes to
+``np.linalg.eig``.  ``_fit_log_linear`` is the one log-linear fit behind every
 localization length, branch slope and decay-rate fit; it fits any stack of
 lines at once, so ``_localization`` fits every eigenvector of a
 decomposition in one batched pass, a block of columns at a time.
@@ -28,6 +36,7 @@ DEGENERACY_CONDITION = 1e10
 _PAIRING_TOL = 1e-12
 # elements per temporary of the batched localization fits (as per disorder chunk)
 _BLOCK = 2**14
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -104,11 +113,12 @@ def _modes(L: np.ndarray):
     ``_c_orthogonalize``.  A self-orthogonal ``r_j`` (an exceptional point)
     leaves a non-finite ``condition``.  Raises ``np.linalg.LinAlgError``.
     """
-    w, vr = np.linalg.eig(L)
+    w, vr = _eig(L)
     unpaired = vr.swapaxes(-1, -2) @ vr  # R^T R, rebound to the mask: no gram kept
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         unpaired /= np.diagonal(unpaired, axis1=-2, axis2=-1)[..., :, None]
-        unpaired = np.abs(unpaired - np.eye(vr.shape[-1])) > _PAIRING_TOL
+        np.einsum("...ii->...i", unpaired)[...] -= 1
+        unpaired = np.abs(unpaired) > _PAIRING_TOL
         unpaired |= unpaired.swapaxes(-1, -2)
         for idx in map(tuple, np.argwhere(unpaired.any(axis=(-2, -1)))):
             _c_orthogonalize(vr[idx], np.flatnonzero(unpaired[idx].any(axis=-1)))
@@ -118,6 +128,90 @@ def _modes(L: np.ndarray):
     return (np.take_along_axis(w, order, axis=-1),
             np.take_along_axis(vr, order[..., None, :], axis=-1),
             np.take_along_axis(c_norms, order, axis=-1), condition)
+
+
+def _eig(L: np.ndarray):
+    """Eigenvalues and unit right eigenvectors of a stack ``L`` of shape
+    ``(..., n, n)``: ``_bipartite_eig`` where every matrix of the stack has
+    its structure and no two of its roots meet, else ``np.linalg.eig``.  A
+    stack takes one route as a whole, so each row equals its matrix solved
+    alone while all rows would take the same route; in a disorder ensemble
+    they do unless a detuning is drawn as exactly 0."""
+    split = _bipartite_split(L)
+    solved = None if split is None else _bipartite_eig(L.shape, *split)
+    return np.linalg.eig(L) if solved is None else solved
+
+
+def _bipartite_split(L: np.ndarray):
+    """``(P, Q, T, z)`` if every matrix of the stack ``L`` is ``-iH`` with,
+    in the site order ``(P, Q)``, ``H = [[0, T], [T^T, z I]]``: the lossless
+    sites ``P`` have no detuning and no bonds among themselves, the lossy
+    sites ``Q`` none either and one diagonal entry ``z != 0``, and the
+    coupling ``T`` (shape ``(..., |P|, |Q|)``) is real.  ``z`` (shape
+    ``(...)``) may differ between the matrices, ``P`` may not.  Else None.
+
+    The diagonal is read first: a detuned generator, such as every
+    realization of a disorder ensemble, is turned away after one comparison.
+    """
+    if L.size == 0:
+        return None
+    d = np.diagonal(L, axis1=-2, axis2=-1)
+    lossless = d == 0
+    first = lossless.reshape(-1, L.shape[-1])[0]
+    if not first.any() or first.all() or not (lossless == first).all():
+        return None
+    P, Q = np.flatnonzero(first), np.flatnonzero(~first)
+    dq = d[..., Q]
+    if not (dq == dq[..., :1]).all():
+        return None
+    bonded = L != 0
+    if bonded[..., P[:, None], P].any() or np.count_nonzero(bonded[..., Q[:, None], Q]) != dq.size:
+        return None
+    t = L[..., P[:, None], Q]  # -iT; the Q-P block is its transpose, as L == L.T
+    if t.real.any():
+        return None
+    return P, Q, -t.imag, 1j * dq[..., 0]
+
+
+def _bipartite_eig(shape, P, Q, T, z):
+    """Eigenvalues and unit right eigenvectors of the ``-iH`` that
+    ``_bipartite_split`` found, of the stack shape ``shape``, from one SVD of
+    its coupling ``T = U S V^T``; None where two eigenvalues meet.
+
+    ``H x = E x`` with ``x = (a u_k, b v_k)`` on ``(P, Q)`` holds when
+    ``E^2 - z E - s_k^2 = 0``: each singular triplet gives the root of larger
+    modulus, ``E_big``, with ``x ~ (s_k u_k, E_big v_k)``, and the slow one
+    without cancellation from Vieta, ``E_small = -s_k^2 / E_big``, with ``x ~
+    ((E_small - z) u_k, s_k v_k)``.  Left singular vectors beyond ``|Q|`` are
+    dark modes, ``E = 0``; right ones beyond ``|P|`` have ``E = z``.  The
+    columns are c-orthogonal up to rounding, as ``u_k``, ``v_k`` are
+    orthonormal and ``E_big + E_small = z``.  Where the discriminant ``z^2 +
+    4 s_k^2`` vanishes within the rounding of its terms (an exceptional
+    point), the roots coalesce and None is returned.
+    """
+    U, s, Vt = np.linalg.svd(T)
+    p, q, k = U.shape[-1], Vt.shape[-1], s.shape[-1]
+    z = z[..., None]
+    s2 = s * s
+    gap = z * z + 4 * s2
+    if np.any(np.abs(gap) <= 4 * _EPS * (np.abs(z) ** 2 + 4 * s2)):
+        return None
+    disc = np.sqrt(gap)
+    big = 0.5 * (z + np.where((z.conj() * disc).real >= 0, disc, -disc))
+    small = -s2 / big
+    nb = np.sqrt(s2 + np.abs(big) ** 2)
+    ns = np.sqrt(s2 + np.abs(small - z) ** 2)
+    u, v = U[..., :k], Vt[..., :k, :].swapaxes(-1, -2)
+    vr = np.zeros(shape, dtype=complex)
+    vr[..., P, :k] = (s / nb)[..., None, :] * u
+    vr[..., Q, :k] = (big / nb)[..., None, :] * v
+    vr[..., P, k:2 * k] = ((small - z) / ns)[..., None, :] * u
+    vr[..., Q, k:2 * k] = (s / ns)[..., None, :] * v
+    vr[..., P, 2 * k:p + k] = U[..., k:]
+    vr[..., Q, p + k:] = Vt[..., k:, :].swapaxes(-1, -2)
+    E = np.concatenate([big, small, np.zeros(s.shape[:-1] + (p - k,)),
+                        np.broadcast_to(z, s.shape[:-1] + (q - k,))], axis=-1)
+    return -1j * E, vr
 
 
 def _c_orthogonalize(r: np.ndarray, cols) -> None:
@@ -316,8 +410,10 @@ def is_localized_at_qubit(mode: EdgeMode, cell_size: int = 1, weight_threshold: 
 
 
 def spectrum_rows(sd: SpectralData):
-    """Rows for the spectrum CSV: one entry per mode, slowest decay first."""
+    """Rows for the spectrum CSV: one entry per mode, slowest decay first.
+    A zero prints unsigned: ``x + 0.0`` and ``0.0 - x`` are never ``-0.0``."""
     lam = sd.eigenvalues
     site, length, _, _ = _localization(sd.right_vectors)
-    return list(zip(range(sd.n), lam.real.tolist(), lam.imag.tolist(), (-lam.real).tolist(),
+    return list(zip(range(sd.n), (lam.real + 0.0).tolist(), (lam.imag + 0.0).tolist(),
+                    (0.0 - lam.real).tolist(),
                     np.abs(overlap_weights(sd, 1)).tolist(), site.tolist(), length.tolist()))

@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -236,6 +238,21 @@ class TestBenchmarkTable:
             assert row.tau_theory == pytest.approx(tt, rel=1e-3)
             assert row.overlap_exact == pytest.approx(oe, abs=1e-3)
             assert row.overlap_theory == pytest.approx(ot, abs=1e-3)
+
+    def test_lifetimes_match_50_digit_values(self):
+        # perfbench/table1_reference.json holds mpmath lifetimes at J1=1, J2=1.8,
+        # Gamma=0.5.  The slow root -s^2/E_big keeps every digit the SVD gives
+        # s_min, whose absolute error is bounded by p(n) eps s_max (p(n) = n,
+        # the size of the N/2-square block, here): a relative error of 2 p(n)
+        # eps s_max / s_min in the rate.  A dense eigenvalue's absolute error
+        # of eps ||H|| printed roundoff at N=60 and N=80.
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "table1_reference.json"
+        ref = {r["N"]: float(r["tau"]) for r in json.loads(path.read_text())["rows"]}
+        s_max = 2.8
+        for row in analytics.table1(N_list=(20, 40, 60, 80)):
+            s_min = math.sqrt(0.5 / ref[row.N])  # rate = s^2 / Gamma to first order
+            bound = 2 * (row.N // 2) * np.finfo(float).eps * s_max / s_min
+            assert abs(row.tau_exact - ref[row.N]) <= bound * ref[row.N]
 
     def test_odd_sizes_rejected(self):
         with pytest.raises(ValueError):

@@ -289,3 +289,46 @@ def test_config_overridden_by_flags(tmp_path):
     header, rows = _read_csv(out)
     weights = [float(r[header.index("overlap_site1")]) for r in rows]
     assert max(weights) == pytest.approx(0.7641509433962265, abs=1e-9)
+
+
+def test_closed_stdout_exits_one_without_a_message():
+    # 90,000 lines overflow any pipe buffer, so the write after the reader
+    # has gone fails whatever the timing
+    src = str(Path(nhtop.__file__).resolve().parents[1])
+    proc = subprocess.Popen([sys.executable, "-m", "nhtop.cli", "model", "--N", "300"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=dict(os.environ, PYTHONPATH=src))
+    assert proc.stdout.readline() == b"i,j,re,im\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert err == b""
+
+
+def test_roundoff_growth_above_one_exits_three(capsys):
+    # the three-site chain's slowest rates are roundoff of either sign; one
+    # above 0 grows to 3e57 by t = 1e17
+    assert main(["coherence", "--model", "three-site", "--N", "401", "--t-max", "1e17",
+                 "--out", os.devnull]) == 3
+    assert "numerical failure: coherence reaches" in capsys.readouterr().err
+
+
+def test_odd_ssh_plateau_holds_at_long_times(tmp_path):
+    # the dark mode's rate is exactly 0, so C stays on its plateau
+    out = tmp_path / "c.csv"
+    assert main(["coherence", "--model", "ssh", "--N", "101", "--t-max", "1e17",
+                 "--out", str(out)]) == 0
+    _, rows = _read_csv(out)
+    values = np.array([float(r[1]) for r in rows])
+    assert np.max(values) <= 1.0
+    plateau = nhtop.analytics.ssh_odd_asymptotic_coherence(101, 1.0, 1.8)
+    assert abs(values[-1] - plateau) < 1e-12
+
+
+def test_spectrum_prints_no_negative_zero(tmp_path):
+    out = tmp_path / "s.csv"
+    assert main(["spectrum", "--model", "ssh", "--N", "101", "--out", str(out)]) == 0
+    _, rows = _read_csv(out)
+    assert rows[0][1:4] == ["0", "0", "0"]  # the exact dark mode
+    assert not any(field == "-0" for row in rows for field in row)

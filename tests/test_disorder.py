@@ -210,6 +210,24 @@ class TestStackedPath:
             _cfg(0.8, n_real=30, seed=-5, times=np.linspace(0.0, 30.0, 31), site_mask=mask,
                  store_realizations=True))
 
+    @pytest.mark.parametrize("N, mu, mask", [
+        (7, 0.0, None),                # copies of one bipartite generator
+        (3, 0.5, (False, True, False)),  # one lossy site: its z differs from row to row
+    ])
+    def test_bipartite_rows_take_one_stacked_svd(self, N, mu, mask, monkeypatch):
+        svd = np.linalg.svd
+        shapes = []
+        monkeypatch.setattr(np.linalg, "svd", lambda a: shapes.append(np.shape(a)) or svd(a))
+        cfg = disorder.DisorderConfig("ssh", N, SSH_PARAMS, mu, 20, 3,
+                                      dynamics.log_time_grid(100.0, 30), site_mask=mask,
+                                      store_realizations=True)
+        res = disorder.run_ensemble(cfg)
+        assert shapes == [shapes[0], (20,) + shapes[0]]  # the clean trace, then one stack
+        shapes.clear()
+        _assert_rows_match_per_realization(cfg)
+        if mu == 0.0:
+            assert np.array_equal(res.mean_trace.values, res.clean_trace.values)
+
     @pytest.mark.parametrize("mu", [0.0, 1e-6])
     def test_exceptional_point_falls_back_on_every_row(self, mu, monkeypatch):
         real = disorder.coherence_trace

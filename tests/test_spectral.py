@@ -1,3 +1,6 @@
+import contextlib
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -300,14 +303,21 @@ def test_spectrum_rows_match_per_column_fits(model, n, params):
     assert_matches_reference(sd.right_vectors, [r[5] for r in rows], [r[6] for r in rows])
 
 
+def _dense_only():
+    """Switch the bipartite route off: every generator goes to ``np.linalg.eig``."""
+    return mock.patch.object(spectral, "_bipartite_split", lambda L: None)
+
+
 class TestDegenerateEigenspace:
     """A basis of a degenerate eigenspace need not be c-orthogonal, so
     ``decompose`` c-orthogonalizes it before the left vectors
-    conj(r_j) / conj(r_j^T r_j) are paired with it.  "mixed" forces such a
-    basis out of the eigensolver whatever basis LAPACK returns;
-    "self-orthogonal" one whose first two vectors have r^T r = 0."""
+    conj(r_j) / conj(r_j^T r_j) are paired with it.  The star is bipartite,
+    so "bipartite" takes the SVD route; the others switch it off and solve
+    with ``np.linalg.eig``: "lapack" keeps whatever basis LAPACK returns,
+    "mixed" forces a basis that is not c-orthogonal, and "self-orthogonal"
+    one whose first two vectors have r^T r = 0."""
 
-    @pytest.fixture(params=["lapack", "mixed", "self-orthogonal"])
+    @pytest.fixture(params=["bipartite", "lapack", "mixed", "self-orthogonal"])
     def star(self, request, monkeypatch):
         eig = np.linalg.eig
 
@@ -333,7 +343,9 @@ class TestDegenerateEigenspace:
             assert np.max(np.abs(np.diag(r.T @ r)[:2])) < 1e-15
             return w, v
 
-        if request.param != "lapack":
+        if request.param != "bipartite":
+            monkeypatch.setattr(spectral, "_bipartite_split", lambda L: None)
+        if request.param not in ("bipartite", "lapack"):
             forced = {"mixed": mixed_eig, "self-orthogonal": self_orthogonal_eig}
             monkeypatch.setattr(np.linalg, "eig", forced[request.param])
         H = netmodel.build_effective_hamiltonian(star_network([1.0] * 4))
@@ -386,17 +398,19 @@ def test_star_degenerate_leaves_property(couplings, loss, detuning):
     # the qubit and the bright leaf combination meet at an exceptional point
     # when ||g|| = loss / 4; stay clear of it
     assume(abs(np.linalg.norm(couplings) - loss / 4) > 0.05 * loss)
-    H = netmodel.build_effective_hamiltonian(star_network(couplings, loss, detuning))
-    sd = spectral.decompose(H)
-    r = sd.right_vectors
-    assert np.max(np.abs(r.T @ r - np.diag(np.diag(r.T @ r)))) < 1e-12
-    for site in range(1, H.dim + 1):
-        assert abs(np.sum(spectral.overlap_weights(sd, site)) - 1) < 1e-12
     times = np.linspace(0.0, 20.0, 30)
-    auto = dynamics.coherence_trace(H, times)
-    assert auto.method == "spectral"
-    ref = dynamics.coherence_trace(H, times, method="expm")
-    assert np.max(np.abs(auto.values - ref.values)) < 1e-12
+    for route in (contextlib.nullcontext, _dense_only):  # the star is bipartite: both routes
+        H = netmodel.build_effective_hamiltonian(star_network(couplings, loss, detuning))
+        with route():
+            sd = spectral.decompose(H)
+            auto = dynamics.coherence_trace(H, times)
+        r = sd.right_vectors
+        assert np.max(np.abs(r.T @ r - np.diag(np.diag(r.T @ r)))) < 1e-12
+        for site in range(1, H.dim + 1):
+            assert abs(np.sum(spectral.overlap_weights(sd, site)) - 1) < 1e-12
+        assert auto.method == "spectral"
+        ref = dynamics.coherence_trace(H, times, method="expm")
+        assert np.max(np.abs(auto.values - ref.values)) < 1e-12
 
 
 def test_exceptional_point_reports_large_condition(monkeypatch):
@@ -423,9 +437,12 @@ class TestDecomposeCache:
         assert spectral.decompose(H) is spectral.decompose(H)
 
     def test_one_eigensolve_per_hamiltonian(self, monkeypatch):
+        # the ssh chain is solved by one SVD of its coupling block; count both solvers
         calls = []
-        eig = np.linalg.eig
-        monkeypatch.setattr(np.linalg, "eig", lambda *a, **k: calls.append(1) or eig(*a, **k))
+        for name in ("eig", "svd"):
+            solve = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name,
+                                lambda *a, solve=solve, **k: calls.append(1) or solve(*a, **k))
         H = netmodel.build_ssh_model(6, 1.0, 1.8, 0.5)
         sd = spectral.decompose(H)
         spectral.spectrum_rows(sd)
@@ -449,3 +466,147 @@ class TestDecomposeCache:
         H = netmodel.build_ssh_model(4, 1.0, 1.8, 0.5)
         H.matrix.setflags(write=True)
         assert spectral.decompose(H) is not spectral.decompose(H)
+
+
+# ---------------------------------------------------------------------------
+# The bipartite route: one SVD of the coupling block against dense eig.
+# ---------------------------------------------------------------------------
+
+def _dense(H, times):
+    """``decompose`` and ``coherence_trace`` of a fresh copy of ``H`` with the
+    bipartite route switched off."""
+    with _dense_only():
+        twin = netmodel.EffectiveHamiltonian(H.matrix)
+        return spectral.decompose(twin), dynamics.coherence_trace(twin, times)
+
+
+def _singular_values(H, lossless):
+    """Singular values of the lossless-to-lossy block of ``H``."""
+    m = H.matrix.real
+    return np.linalg.svd(m[np.ix_(lossless, ~lossless)], compute_uv=False)
+
+
+#: relative distances from an exceptional point, z^2 + 4 s^2 = 0 (None: a free draw)
+_EP_OFFSETS = [None, None, 0.0, 1e-8, -1e-6, 1e-4, -1e-2]
+
+
+@st.composite
+def bipartite_hamiltonians(draw):
+    """ssh chains (even and odd N), the two-site impurity, and custom networks
+    with more lossy than lossless sites, some near an exceptional point."""
+    kind = draw(st.sampled_from(["ssh", "impurity", "custom"]))
+    offset = draw(st.sampled_from(_EP_OFFSETS))
+    if kind == "impurity":
+        gamma = draw(st.floats(0.2, 8.0))
+        kappa = draw(st.floats(0.1, 3.0)) if offset is None else gamma / 4 * (1 + offset)
+        return netmodel.build_impurity_model(2, 1.0, kappa, gamma)
+    if kind == "ssh":
+        n, j1, j2 = draw(st.integers(2, 40)), draw(st.floats(0.2, 3.0)), draw(st.floats(0.2, 3.0))
+        gamma = draw(st.floats(0.05, 3.0))
+        if offset is not None:  # z = -i Gamma meets the k-th singular value
+            s = _singular_values(netmodel.build_ssh_model(n, j1, j2, 1.0), np.arange(n) % 2 == 0)
+            gamma = 2 * s[draw(st.integers(0, s.size - 1))] * (1 + offset)
+        return netmodel.build_ssh_model(n, j1, j2, gamma)
+    p = draw(st.integers(1, 3))
+    q = p + draw(st.integers(1, 3))
+    lossless = np.array(draw(st.permutations([True] * (p - 1) + [False] * q)))
+    lossless = np.concatenate([[True], lossless])  # site 1 is the qubit
+    P, Q = np.flatnonzero(lossless) + 1, np.flatnonzero(~lossless) + 1
+    edges = [(int(i), int(j), draw(st.floats(-2.0, 2.0).filter(lambda a: abs(a) > 0.1)))
+             for i in P for j in Q if draw(st.booleans())]
+    loss, detuning = draw(st.floats(0.2, 4.0)), draw(st.floats(-1.0, 1.0))
+    sites = [netmodel.SiteSpec(netmodel.QUBIT if s == 1 else netmodel.CAVITY,
+                               0.0 if lossless[s - 1] else detuning,
+                               0.0 if lossless[s - 1] else loss)
+             for s in range(1, p + q + 1)]
+    spec = netmodel.NetworkSpec(tuple(sites), tuple(edges))
+    s = _singular_values(netmodel.build_effective_hamiltonian(spec), lossless)
+    if offset is not None and np.any(s > 0):  # z = -i loss / 2 meets a singular value
+        k = draw(st.integers(0, int(np.count_nonzero(s > 0)) - 1))
+        sites = [site if lossless[i] else netmodel.SiteSpec(netmodel.CAVITY, 0.0,
+                                                             4 * s[k] * (1 + offset))
+                 for i, site in enumerate(sites)]
+        spec = netmodel.NetworkSpec(tuple(sites), tuple(edges))
+    return netmodel.build_effective_hamiltonian(spec)
+
+
+def _cluster_sums(w, c, centers, tol=1e-9):
+    """Sum of the weights ``c`` of the eigenvalues ``w`` within ``tol`` of each
+    center: degenerate modes share their weight in any basis."""
+    return (np.abs(centers[:, None] - w[None, :]) < tol) @ c
+
+
+@settings(max_examples=60, deadline=None)
+@given(bipartite_hamiltonians())
+@example(netmodel.build_impurity_model(2, 1.0, 1.0, 4.0))       # an exceptional point
+@example(netmodel.build_ssh_model(41, 1.0, 1.8, 0.5))            # an exact dark mode
+def test_bipartite_route_matches_dense_eig(H):
+    """Eigenvalues, qubit weights and traces within 1e-12 of dense ``eig``,
+    widened by dense ``eig``'s own error: about ``eps kappa ||L||`` on the
+    eigenvalues, ``kappa`` the largest eigenvalue condition number.  Near an
+    exceptional point, where two roots ``|z| / kappa`` apart carry weights
+    of size ``kappa`` and c-norms of size ``1 / kappa``, dense eigenvectors
+    are off by about ``eps ||L|| kappa / |z|``, so the weights by ``eps
+    ||L|| kappa^3 / |z|``; a trace inherits both, the eigenvalue error times
+    ``t``.  (The bipartite route stays accurate there; at the exceptional
+    point itself it hands over to dense ``eig``.)"""
+    L = H.generator
+    split = spectral._bipartite_split(L)
+    assert split is not None
+    times = np.concatenate([[0.0], dynamics.log_time_grid(1e3, 40)])
+    sd, trace = spectral.decompose(H), dynamics.coherence_trace(H, times)
+    dense, dense_trace = _dense(H, times)
+    if spectral._bipartite_eig(L.shape, *split) is None:  # roots meet: the dense solve itself
+        assert np.array_equal(sd.eigenvalues, dense.eigenvalues)
+        assert np.array_equal(sd.right_vectors, dense.right_vectors)
+        return
+    eps = np.finfo(float).eps
+    kappa = max(sd.condition, dense.condition)
+    norm = max(1.0, float(np.max(np.abs(L))))
+    eig_err = 10 * eps * kappa * norm
+    weight_err = 10 * eps * kappa**3 * norm / float(np.min(np.abs(split[3])))
+    d = np.abs(sd.eigenvalues[:, None] - dense.eigenvalues[None, :])
+    assert max(d.min(axis=0).max(), d.min(axis=1).max()) <= 1e-12 + eig_err
+    w = sd.eigenvalues
+    c, c_dense = spectral.overlap_weights(sd), spectral.overlap_weights(dense)
+    assert np.max(np.abs(_cluster_sums(w, c, w) - _cluster_sums(dense.eigenvalues, c_dense, w))) \
+        <= 1e-12 + weight_err
+    trace_err = 1e-12 + weight_err + times * eig_err * np.sum(np.abs(c))
+    assert np.all(np.abs(trace.values - dense_trace.values) <= trace_err)
+
+
+@pytest.mark.parametrize("H", [netmodel.build_ssh_model(9, 1.0, 1.8, 0.5),
+                               netmodel.build_ssh_model(10, 1.0, 0.6, 0.5),
+                               netmodel.build_impurity_model(2, 1.0, 0.5, 4.0)])
+def test_stacked_bipartite_solve_equals_decompose(H, monkeypatch):
+    # a zero-width disorder chunk: copies of one generator, solved as one stack
+    svd = np.linalg.svd
+    shapes = []
+    monkeypatch.setattr(np.linalg, "svd", lambda a: shapes.append(np.shape(a)) or svd(a))
+    w, vr, c_norms, condition = spectral._modes(np.array([H.generator] * 3))
+    sd = spectral.decompose(H)
+    assert len(shapes) == 2 and len(shapes[0]) == 3  # one stacked SVD, then the single one
+    for i in range(3):
+        assert np.array_equal(w[i], sd.eigenvalues)
+        assert np.array_equal(vr[i], sd.right_vectors)
+        assert np.array_equal(c_norms[i], sd.c_norms)
+        assert condition[i] == sd.condition
+
+
+@pytest.mark.parametrize("H", [
+    netmodel.build_three_site_model(9, 1.0, 0.3, 2.0, 0.7, 0.0, 0.0, 0.5),  # lossless bonds
+    netmodel.build_impurity_model(5, 1.0, 0.5, 4.0),                       # lossy bonds
+    netmodel.apply_detuning_disorder(netmodel.build_ssh_model(5, 1.0, 1.8, 0.5),
+                                     [0.0, 0.0, 0.1, 0.0, 0.0]),         # detuned lossless site
+    netmodel.EffectiveHamiltonian(np.diag([0.0, -1j, -2j]) + np.eye(3, k=1) + np.eye(3, k=-1)),
+])
+def test_other_generators_are_not_bipartite(H):
+    assert spectral._bipartite_split(H.generator) is None
+
+
+def test_stack_with_one_split_per_matrix_only():
+    # one matrix of the stack detuned on a lossless site: the whole stack is dense
+    H = netmodel.build_ssh_model(5, 1.0, 1.8, 0.5)
+    detuned = netmodel.apply_detuning_disorder(H, [0.1, 0.0, 0.0, 0.0, 0.0])
+    assert spectral._bipartite_split(np.array([H.generator] * 2)) is not None
+    assert spectral._bipartite_split(np.array([H.generator, detuned.generator])) is None
