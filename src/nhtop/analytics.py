@@ -409,14 +409,3 @@ def table1(J1: float = 1.0, J2: float = 1.8, Gamma: float = 0.5,
             )
         )
     return rows
-
-
-def write_table1_csv(stream, rows, header_lines=()):
-    for line in header_lines:
-        stream.write(f"# {line}\n")
-    stream.write("N,tau_exact,tau_theory,overlap_exact,overlap_theory\n")
-    for r in rows:
-        stream.write(
-            f"{r.N},{r.tau_exact:.17g},{r.tau_theory:.17g},"
-            f"{r.overlap_exact:.17g},{r.overlap_theory:.17g}\n"
-        )

@@ -4,9 +4,11 @@ Subcommands map one-to-one onto the library: ``model`` dumps an effective
 Hamiltonian, ``spectrum`` its mode table, ``coherence`` a C(t) trace,
 ``winding`` the topological invariant, ``table1`` the benchmark
 lifetime/overlap table, ``scaling`` the bulk-edge census over system sizes,
-and ``disorder`` a noise-averaged trace.  All numeric output is CSV with
-deterministic 17-digit formatting, so identical invocations produce
-byte-identical files.  Exit codes: 0 success, 1 stdout closed early (as by
+and ``disorder`` a noise-averaged trace.  The library returns data and
+writes nothing; every table is formatted here by ``_write_csv``, the one
+statement of the CSV layout (``# `` comment lines, a header, values at 17
+significant digits), so identical invocations produce byte-identical files.
+Exit codes: 0 success, 1 stdout closed early (as by
 ``| head``, without a message), 2 configuration error, 3 numerical failure.
 """
 
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import os
 import sys
@@ -112,33 +115,30 @@ def _gnuplot_lines(args, ycols: str):
     return (f"gnuplot: set datafile separator ','; plot '{args.out}' using {ycols} with lines",)
 
 
+def _write_csv(stream, columns, rows, comments=()) -> None:
+    """The one CSV layout: each comment as a ``# `` line, the header, then each
+    row with every value formatted ``.17g`` (integers print plain, ``inf`` as
+    ``inf``), so identical runs write identical bytes."""
+    for line in comments:
+        stream.write(f"# {line}\n")
+    stream.write(",".join(columns) + "\n")
+    for row in rows:
+        stream.write(",".join(f"{v:.17g}" for v in row) + "\n")
+
+
 def cmd_model(args) -> None:
-    H = _build_from_args(args)
+    m = _build_from_args(args).matrix
+    rows = ((i + 1, j + 1, m[i, j].real, m[i, j].imag) for i, j in np.ndindex(m.shape))
     with _output(args) as stream:
-        for line in _gnuplot_lines(args, "1:3"):
-            stream.write(f"# {line}\n")
-        stream.write("i,j,re,im\n")
-        m = H.matrix
-        for i in range(H.dim):
-            for j in range(H.dim):
-                stream.write(f"{i + 1},{j + 1},{m[i, j].real:.17g},{m[i, j].imag:.17g}\n")
+        _write_csv(stream, ("i", "j", "re", "im"), rows, _gnuplot_lines(args, "1:3"))
 
 
 def cmd_spectrum(args) -> None:
-    H = _build_from_args(args)
-    sd = spectral.decompose(H)
+    sd = spectral.decompose(_build_from_args(args))
+    columns = ("index", "re_lambda", "im_lambda", "decay_rate", "overlap_site1",
+               "localization_site", "localization_length")
     with _output(args) as stream:
-        for line in _gnuplot_lines(args, "2:3"):
-            stream.write(f"# {line}\n")
-        stream.write(
-            "index,re_lambda,im_lambda,decay_rate,overlap_site1,"
-            "localization_site,localization_length\n"
-        )
-        for idx, re_l, im_l, rate, c1, site, length in spectral.spectrum_rows(sd):
-            stream.write(
-                f"{idx},{re_l:.17g},{im_l:.17g},{rate:.17g},"
-                f"{c1:.17g},{site},{length:.17g}\n"
-            )
+        _write_csv(stream, columns, spectral.spectrum_rows(sd), _gnuplot_lines(args, "2:3"))
 
 
 def cmd_coherence(args) -> None:
@@ -149,20 +149,19 @@ def cmd_coherence(args) -> None:
         trace = dynamics.coherence_trace_superoperator(sop, times)
     else:
         trace = dynamics.coherence_trace(H, times, method=args.method)
+    comments = _gnuplot_lines(args, "1:2") + (f"method={trace.method}",)
     with _output(args) as stream:
-        header = _gnuplot_lines(args, "1:2") + (f"method={trace.method}",)
-        dynamics.write_trace_csv(stream, trace, header)
+        _write_csv(stream, ("t", "coherence"), zip(trace.times, trace.values), comments)
 
 
 def cmd_winding(args) -> None:
     model, _, params = _resolve_model(args, _read_config(args))
-    _, make_bloch, closed = topology.chain_winding(model, params)
-    bloch = make_bloch()  # validated whichever method runs
+    bloch = topology.chain_bloch(model, params)  # validated whichever method runs
     results = []
     if args.method in ("numeric", "both"):
         results.append(topology.winding_number_numeric(bloch, args.n_k))
     if args.method in ("closed-form", "both"):
-        results.append(closed())
+        results.append(topology.closed_form_winding(model, params))
     for res in results:
         print(f"W={res.W} method={res.method}")
     if len(results) == 2 and results[0].W != results[1].W:
@@ -172,16 +171,23 @@ def cmd_winding(args) -> None:
 def cmd_table1(args) -> None:
     n_list = [int(s) for s in args.N_list.split(",") if s]
     rows = analytics.table1(args.J1_v, args.J2_v, args.gamma_v, n_list)
+    columns = [f.name for f in dataclasses.fields(analytics.Table1Row)]
     with _output(args) as stream:
-        analytics.write_table1_csv(stream, rows, _gnuplot_lines(args, "1:2"))
+        _write_csv(stream, columns, map(dataclasses.astuple, rows), _gnuplot_lines(args, "1:2"))
 
 
 def cmd_scaling(args) -> None:
     model, _, params = _resolve_model(args, _read_config(args))
     n_list = [int(s) for s in args.Ns.split(",") if s]
     report = topology.bulk_edge_report(model, params, n_list, eps_dark=args.eps_dark)
+    comments = _gnuplot_lines(args, "1:5") + tuple(
+        f"branch {f.branch + 1}: slope {f.slope:.6g} r2 {f.r_squared:.6g}"
+        f" exponential {f.exponential}" for f in report.fits)
+    rows = ((r.N, r.n_quasi_dark, r.n_localized_site1, report.W_closed_form,
+             r.slowest_decay_rate) for r in report.rows)
+    columns = ("N", "n_quasi_dark", "n_localized_site1", "W_closed_form", "slowest_decay_rate")
     with _output(args) as stream:
-        topology.write_report_csv(stream, report, _gnuplot_lines(args, "1:5"))
+        _write_csv(stream, columns, rows, comments)
 
 
 def cmd_disorder(args) -> None:
@@ -197,8 +203,20 @@ def cmd_disorder(args) -> None:
         times=_time_grid(args), site_mask=mask,
     )
     result = disorder.run_ensemble(cfg)
+    # the configuration echo, so that the file alone reproduces the run
+    comments = [f"model={cfg.model} N={cfg.N}"]
+    comments += [f"param {key}={cfg.params[key]:.17g}" for key in sorted(cfg.params)]
+    comments.append(f"mu={cfg.mu:.17g} n_realizations={cfg.n_realizations} "
+                    f"base_seed={cfg.base_seed}")
+    if mask is not None:
+        comments.append(f"site_mask={args.site_mask}")
+    comments.append(f"n_ok={result.n_ok} n_failed={result.n_failed}")
+    comments += _gnuplot_lines(args, "1:2")
+    trace = result.mean_trace
+    rows = ((t, m, s, result.n_ok)
+            for t, m, s in zip(trace.times, trace.values, result.stderr_trace))
     with _output(args) as stream:
-        disorder.write_ensemble_csv(stream, cfg, result, _gnuplot_lines(args, "1:2"))
+        _write_csv(stream, ("t", "mean_coherence", "stderr", "n_ok"), rows, comments)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -202,21 +202,3 @@ def run_ensemble(cfg: DisorderConfig) -> EnsembleResult:
         n_failed=n - n_ok,
         realizations=table[ok, :] if cfg.store_realizations else None,
     )
-
-
-def write_ensemble_csv(stream, cfg: DisorderConfig, result: EnsembleResult, extra_header=()):
-    """CSV ``t,mean_coherence,stderr,n_ok`` with the configuration echoed in comments."""
-    stream.write(f"# model={cfg.model} N={cfg.N}\n")
-    for key in sorted(cfg.params):
-        stream.write(f"# param {key}={cfg.params[key]:.17g}\n")
-    stream.write(
-        f"# mu={cfg.mu:.17g} n_realizations={cfg.n_realizations} base_seed={cfg.base_seed}\n"
-    )
-    if cfg.site_mask is not None:
-        stream.write(f"# site_mask={''.join('1' if b else '0' for b in cfg.site_mask)}\n")
-    stream.write(f"# n_ok={result.n_ok} n_failed={result.n_failed}\n")
-    for line in extra_header:
-        stream.write(f"# {line}\n")
-    stream.write("t,mean_coherence,stderr,n_ok\n")
-    for t, m, s in zip(result.mean_trace.times, result.mean_trace.values, result.stderr_trace):
-        stream.write(f"{t:.17g},{m:.17g},{s:.17g},{result.n_ok}\n")

@@ -34,6 +34,9 @@ WEIGHT_CUTOFF = 1e-14
 
 DEFAULT_EPSILON = 0.05
 
+#: first time of the default log-spaced grid (``log_time_grid``)
+LOG_GRID_START = 1e-2
+
 # Taylor degree m and theta_m: m terms reach double precision on ||B h||_1 <=
 # theta_m (Higham & Al-Mohy, Acta Numer. 19, 159 (2010), Table A.3, for
 # m <= 30; Al-Mohy & Higham (2011), Table 3.1, above)
@@ -83,7 +86,7 @@ class CoherenceTrace:
         if above_one:
             raise NumericError(f"coherence reaches {np.max(v):.6g}, above 1 beyond 1e-12")
         if off_at_zero:
-            raise NumericError(f"C(0) = {v[0]!r} deviates from 1 beyond 1e-12")
+            raise NumericError(f"C(0) = {float(v[0])!r} deviates from 1 beyond 1e-12")
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}")
         for name, arr in (("times", t), ("values", v)):
@@ -109,25 +112,26 @@ def _trace_faults(t: np.ndarray, v: np.ndarray):
     return non_finite, negative, above_one, off_at_zero
 
 
-def log_time_grid(t_max: float, n_points: int = 400, t_min: float = 1e-2) -> np.ndarray:
-    """Default grid: log-spaced from t_min to t_max, spanning relaxation to
-    protection timescales."""
-    if t_max <= t_min:
-        raise ValueError("t_max must exceed t_min")
-    return np.geomspace(t_min, t_max, n_points)
+def log_time_grid(t_max: float, n_points: int = 400) -> np.ndarray:
+    """Default grid: log-spaced from ``LOG_GRID_START`` to t_max, spanning
+    relaxation to protection timescales."""
+    if t_max <= LOG_GRID_START:
+        raise ValueError(f"t_max must exceed {LOG_GRID_START}")
+    return np.geomspace(LOG_GRID_START, t_max, n_points)
 
 
 def _qubit_weights(condition, right: np.ndarray, c_norms: np.ndarray):
     """Qubit-site weights ``c_j = r_j[0] conj(l_j[0]) = r_j[0]^2 / c_norms_j`` of
     sorted decompositions (``right``, ``c_norms`` of shapes ``(..., n, n)``,
     ``(..., n)``) and whether the spectral route is reliable for each:
-    ``condition`` (shape ``(...)``) is below ``CONDITION_FALLBACK`` and flags
-    no exceptional point, the weights sum to 1 within 1e-12 (completeness at
+    ``condition`` (shape ``(...)``) is below ``CONDITION_FALLBACK``, which
+    NaN, inf and every condition ``spectral.DEGENERACY_CONDITION`` flags are
+    not, the weights sum to 1 within 1e-12 (completeness at
     the qubit site keeps C(0) = 1 within the trace type's own tolerance), and
     the mode sum's rounding bound ``eps * sum_j |c_j|``, which grows near
     exceptional points, stays below 1e-12."""
     c = right[..., 0, :] * (right[..., 0, :] / c_norms)
-    reliable = ~spectral._degenerate(condition) & (condition < CONDITION_FALLBACK)
+    reliable = condition < CONDITION_FALLBACK
     reliable &= np.abs(c.sum(axis=-1) - 1.0) <= 1e-12
     reliable &= _EPS * np.abs(c).sum(axis=-1) <= 1e-12
     return c, reliable
@@ -284,12 +288,11 @@ class Timescales:
             raise ValueError("tau_min must not exceed tau_max")
 
 
-def timescales(eigenvalues, weights, epsilon: float = DEFAULT_EPSILON,
-               weight_cutoff: float = WEIGHT_CUTOFF) -> Timescales:
+def timescales(eigenvalues, weights, epsilon: float = DEFAULT_EPSILON) -> Timescales:
     """Decay timescales of C(t) = |sum_j c_j exp(lambda_j t)|.
 
     ``tau_min`` is the fastest and ``tau_max`` the slowest mode lifetime,
-    restricted to modes whose weight exceeds ``weight_cutoff`` (zero-weight
+    restricted to modes whose weight exceeds ``WEIGHT_CUTOFF`` (zero-weight
     modes never appear in C).  ``tau_lin = epsilon / Re(-sum_j c_j lambda_j)``
     linearizes the initial decay; for the canonical models the weighted sum is
     the qubit's own diagonal entry, which vanishes, so tau_lin is infinite
@@ -302,7 +305,7 @@ def timescales(eigenvalues, weights, epsilon: float = DEFAULT_EPSILON,
         raise ValueError("eigenvalues and weights must have equal length")
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie in (0, 1)")
-    keep = np.abs(c) >= weight_cutoff
+    keep = np.abs(c) >= WEIGHT_CUTOFF
     if not np.any(keep):
         raise ValueError("all weights vanish; no coherence dynamics to time")
     decay = -lam[keep].real
@@ -356,21 +359,13 @@ def weak_dissipative_spectrum(H0, gammas) -> np.ndarray:
     return -1j * e0 - rates
 
 
-def fit_exponential_rate(times, values, floor: float = 1e-300):
-    """Least-squares slope of -ln C(t); returns (rate, intercept)."""
+def fit_exponential_rate(times, values):
+    """Least-squares slope of -ln C(t) through the samples above 1e-300;
+    returns (rate, intercept)."""
     t = np.asarray(times, dtype=float)
     v = np.asarray(values, dtype=float)
-    mask = v > floor
+    mask = v > 1e-300
     if np.count_nonzero(mask) < 2:
         raise ValueError("not enough positive samples for a rate fit")
     slope, intercept, _ = spectral._fit_log_linear(t[mask], v[mask])
     return -float(slope), float(intercept)
-
-
-def write_trace_csv(stream, trace: CoherenceTrace, header_lines=()):
-    """CSV per the trace interface: header ``t,coherence``, 17 significant digits."""
-    for line in header_lines:
-        stream.write(f"# {line}\n")
-    stream.write("t,coherence\n")
-    for t, v in zip(trace.times, trace.values):
-        stream.write(f"{t:.17g},{v:.17g}\n")

@@ -36,6 +36,10 @@ DEGENERACY_CONDITION = 1e10
 _PAIRING_TOL = 1e-12
 # elements per temporary of the batched localization fits (as per disorder chunk)
 _BLOCK = 2**14
+# a localization fit runs through the sites whose |psi|^2 exceeds this share of the peak
+_SUPPORT_FLOOR = 1e-14
+# least qubit weight |c_1| of a mode that ``is_localized_at_qubit`` counts
+_QUBIT_WEIGHT = 0.1
 _EPS = np.finfo(float).eps
 
 
@@ -73,7 +77,7 @@ class SpectralData:
 
     @property
     def degenerate_warning(self) -> bool:
-        return bool(_degenerate(self.condition))
+        return bool(not np.isfinite(self.condition) or self.condition > DEGENERACY_CONDITION)
 
 
 def decompose(H: EffectiveHamiltonian) -> SpectralData:
@@ -241,11 +245,6 @@ def _c_orthogonalize(r: np.ndarray, cols) -> None:
     r -= q @ np.where(np.abs(coef) > _PAIRING_TOL, coef, 0)
 
 
-def _degenerate(condition):
-    """Whether ``condition`` flags a near-defective (exceptional) point."""
-    return ~np.isfinite(condition) | (condition > DEGENERACY_CONDITION)
-
-
 def _fit_log_linear(x, y, support=None):
     """Least-squares lines through ``(x, ln y)`` along the last axis:
     ``(slope, intercept, r_squared)`` arrays of the leading shape.
@@ -308,7 +307,7 @@ class LocalizationProfile:
     delocalized: bool
 
 
-def localization_profile(mode_vector, support_floor: float = 1e-14) -> LocalizationProfile:
+def localization_profile(mode_vector) -> LocalizationProfile:
     """Exponential-localization fit of an eigenvector.
 
     The peak site (1-based) is the localization site.  The decay length comes
@@ -323,10 +322,10 @@ def localization_profile(mode_vector, support_floor: float = 1e-14) -> Localizat
     v = np.asarray(mode_vector, dtype=complex).ravel()
     if not np.any(np.abs(v) ** 2):
         raise ValueError("zero vector has no localization profile")
-    return LocalizationProfile(*(a[0].item() for a in _localization(v[:, None], support_floor)))
+    return LocalizationProfile(*(a[0].item() for a in _localization(v[:, None])))
 
 
-def _localization(vectors, support_floor: float = 1e-14):
+def _localization(vectors):
     """``localization_profile`` of every (nonzero) column of ``vectors``, shape
     ``(n, k)``: ``(site, length, r_squared, delocalized)`` arrays of shape
     ``(k,)``.
@@ -345,7 +344,7 @@ def _localization(vectors, support_floor: float = 1e-14):
         cols = slice(start, start + width)
         p = np.abs(vectors[:, cols].T) ** 2
         peak = np.argmax(p, axis=-1)
-        support = p > support_floor * p.max(axis=-1, keepdims=True)
+        support = p > _SUPPORT_FLOOR * p.max(axis=-1, keepdims=True)
         best_r2 = np.full(p.shape[0], -np.inf)
         best_slope = np.zeros(p.shape[0])
         for stride in (1, 2, 3):
@@ -404,9 +403,9 @@ def find_quasi_dark_modes(sd: SpectralData, eps_dark: float) -> list[EdgeMode]:
     ]
 
 
-def is_localized_at_qubit(mode: EdgeMode, cell_size: int = 1, weight_threshold: float = 0.1) -> bool:
-    """Peak within the first unit cell and appreciable weight on site 1."""
-    return mode.localization_site <= cell_size and mode.overlap_site1 > weight_threshold
+def is_localized_at_qubit(mode: EdgeMode, cell_size: int = 1) -> bool:
+    """Peak within the first unit cell and weight above ``_QUBIT_WEIGHT`` on site 1."""
+    return mode.localization_site <= cell_size and mode.overlap_site1 > _QUBIT_WEIGHT
 
 
 def spectrum_rows(sd: SpectralData):

@@ -5,6 +5,12 @@ For a periodic chain with one leaky site per unit cell, the winding of
 Hermitian block of the non-lossy sites and rotates the coupling vector to
 the lossy site real and positive.  ``W`` then predicts how many quasi-dark
 modes of the open chain localize at the qubit end.
+
+A canonical chain's Bloch matrix is read off its two-cell open chain
+(``chain_bloch``), so the chain's bonds are stated only in its
+``netmodel.*_network`` function; ``closed_form_winding`` dispatches to the
+published closed forms.  The library writes nothing: the CLI formats the
+report as CSV.
 """
 
 from __future__ import annotations
@@ -23,6 +29,9 @@ from .spectral import (_fit_log_linear, decompose, default_eps_dark, find_quasi_
 
 MAX_KPOINTS = 1 << 17
 _BOUNDARY_TOL = 1e-12
+_CELL_SIZES = {"ssh": 2, "three-site": 3}
+# decay-rate branches tracked across N by ``bulk_edge_report``
+_N_BRANCHES = 3
 
 
 @dataclass(frozen=True)
@@ -52,32 +61,30 @@ class BlochHamiltonian:
         return m
 
 
-def bloch_ssh(J1: float, J2: float, Gamma: float) -> BlochHamiltonian:
-    """Two-site cell [[0, v_k], [conj(v_k), -i Gamma]] with v_k = J1 + J2 e^{ik}."""
+def chain_bloch(model: str, params: dict) -> BlochHamiltonian:
+    """Bloch matrix of a canonical chain, read off its two-cell open chain
+    (``netmodel.build_model``): with ``h0`` the first cell's block and ``B``
+    the block from cell 2 to cell 1, ``H(k) = h0 + B e^{ik} + B^T e^{-ik}``."""
+    c = _cell_size(model)
+    m = netmodel.build_model(model, 2 * c, params).matrix
+    h0, B = m[:c, :c], m[c:, :c]
 
     def hk(k):
-        v = J1 + J2 * np.exp(1j * k)
-        return np.array([[0.0, v], [np.conj(v), -1j * Gamma]])
+        e = np.exp(1j * k)
+        return h0 + B * e + B.T * np.conj(e)
 
-    return BlochHamiltonian(2, hk, {"J1": J1, "J2": J2, "Gamma": Gamma})
+    return BlochHamiltonian(c, hk, netmodel.model_params(model, params))
+
+
+def bloch_ssh(J1: float, J2: float, Gamma: float) -> BlochHamiltonian:
+    """Two-site cell [[0, v_k], [conj(v_k), -i Gamma]] with v_k = J1 + J2 e^{ik}."""
+    return chain_bloch("ssh", dict(J1=J1, J2=J2, Gamma=Gamma))
 
 
 def bloch_three_site(J1, J2, J3, J, eps1, eps2, Gamma) -> BlochHamiltonian:
     """Three-site cell; the 1-3 coupling picks up the k dependence J3 e^{ik} + J."""
-
-    def hk(k):
-        t13 = J3 * np.exp(1j * k) + J
-        return np.array(
-            [
-                [eps1, J1, t13],
-                [J1, eps2, J2],
-                [np.conj(t13), J2, -1j * Gamma],
-            ]
-        )
-
-    return BlochHamiltonian(
-        3, hk, {"J1": J1, "J2": J2, "J3": J3, "J": J, "eps1": eps1, "eps2": eps2, "Gamma": Gamma}
-    )
+    return chain_bloch("three-site", dict(J1=J1, J2=J2, J3=J3, J=J, eps1=eps1, eps2=eps2,
+                                          Gamma=Gamma))
 
 
 @dataclass(frozen=True)
@@ -249,18 +256,20 @@ def winding_three_site_closed_form(J1, J2, J3, J, eps1=0.0, eps2=0.0) -> Winding
     return WindingResult(w, "closed_form")
 
 
-def chain_winding(model: str, params: dict):
-    """``(cell_size, bloch, closed_form)`` of a canonical chain: its unit-cell size
-    and callables returning its ``BlochHamiltonian`` and closed-form ``WindingResult``."""
-    p = params
+def _cell_size(model: str) -> int:
+    if model not in _CELL_SIZES:
+        raise SpecificationError(
+            f"{model!r} has no winding number; expected 'ssh' or 'three-site'")
+    return _CELL_SIZES[model]
+
+
+def closed_form_winding(model: str, params: dict) -> WindingResult:
+    """The published closed-form winding number of a canonical chain."""
+    _cell_size(model)
+    p = netmodel.model_params(model, params)
     if model == "ssh":
-        return (2, lambda: bloch_ssh(p["J1"], p["J2"], p["Gamma"]),
-                lambda: winding_ssh_closed_form(p["J1"], p["J2"]))
-    if model == "three-site":
-        bonds = (p["J1"], p["J2"], p["J3"], p["J"], p.get("eps1", 0.0), p.get("eps2", 0.0))
-        return (3, lambda: bloch_three_site(*bonds, p["Gamma"]),
-                lambda: winding_three_site_closed_form(*bonds))
-    raise SpecificationError(f"{model!r} has no winding number; expected 'ssh' or 'three-site'")
+        return winding_ssh_closed_form(p["J1"], p["J2"])
+    return winding_three_site_closed_form(p["J1"], p["J2"], p["J3"], p["J"], p["eps1"], p["eps2"])
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +312,7 @@ class BulkEdgeReport:
 
 
 def bulk_edge_report(model: str, params: dict, N_list: Sequence[int],
-                     eps_dark: float | None = None, n_branches: int = 3) -> BulkEdgeReport:
+                     eps_dark: float | None = None) -> BulkEdgeReport:
     """Open-chain quasi-dark census against the closed-form winding number.
 
     For every N: number of modes below ``eps_dark``, how many of those sit in
@@ -317,11 +326,11 @@ def bulk_edge_report(model: str, params: dict, N_list: Sequence[int],
         raise ValueError(f"system sizes must be distinct; repeated: {repeated}")
     if len(n_list) < 4:
         raise ValueError("need at least four system sizes for scaling fits")
-    cell, _, closed_form = chain_winding(model, params)
-    w_closed = closed_form().W
+    cell = _cell_size(model)
+    w_closed = closed_form_winding(model, params).W
 
     rows = []
-    branch_rates = {m: {} for m in range(n_branches)}
+    branch_rates = {m: {} for m in range(_N_BRANCHES)}
     for n in n_list:
         H = netmodel.build_model(model, n, params)
         sd = decompose(H)
@@ -329,7 +338,7 @@ def bulk_edge_report(model: str, params: dict, N_list: Sequence[int],
         modes = find_quasi_dark_modes(sd, eps)
         nloc = sum(1 for m in modes if is_localized_at_qubit(m, cell))
         rates = sd.decay_rates  # ascending: decompose sorts the modes
-        for m in range(min(n_branches, rates.size)):
+        for m in range(min(_N_BRANCHES, rates.size)):
             branch_rates[m][n] = float(rates[m])
         rows.append(
             BulkEdgeRow(
@@ -337,12 +346,12 @@ def bulk_edge_report(model: str, params: dict, N_list: Sequence[int],
                 n_quasi_dark=len(modes),
                 n_localized_site1=nloc,
                 slowest_decay_rate=float(rates[0]),
-                decay_rates=tuple(float(r) for r in rates[:n_branches]),
+                decay_rates=tuple(float(r) for r in rates[:_N_BRANCHES]),
             )
         )
 
     fits = []
-    for m in range(n_branches):
+    for m in range(_N_BRANCHES):
         pts = [(n, r) for n, r in sorted(branch_rates[m].items()) if r > 1e-13]
         if len(pts) < 3:
             continue
@@ -353,20 +362,3 @@ def bulk_edge_report(model: str, params: dict, N_list: Sequence[int],
 
     eps_used = eps_dark if eps_dark is not None else -1.0
     return BulkEdgeReport(model, dict(params), tuple(rows), tuple(fits), w_closed, eps_used)
-
-
-def write_report_csv(stream, report: BulkEdgeReport, header_lines=()):
-    """CSV per the report interface, with branch fits as leading comments."""
-    for line in header_lines:
-        stream.write(f"# {line}\n")
-    for f in report.fits:
-        stream.write(
-            f"# branch {f.branch + 1}: slope {f.slope:.6g} r2 {f.r_squared:.6g}"
-            f" exponential {f.exponential}\n"
-        )
-    stream.write("N,n_quasi_dark,n_localized_site1,W_closed_form,slowest_decay_rate\n")
-    for row in report.rows:
-        stream.write(
-            f"{row.N},{row.n_quasi_dark},{row.n_localized_site1},"
-            f"{report.W_closed_form},{row.slowest_decay_rate:.17g}\n"
-        )

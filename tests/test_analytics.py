@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from nhtop import analytics, dynamics, netmodel, spectral
+from nhtop.cli import main
 from nhtop.errors import RootFindingError
 
 
@@ -260,8 +261,7 @@ class TestBenchmarkTable:
 
     def test_csv_layout(self, tmp_path):
         out = tmp_path / "table.csv"
-        with open(out, "w") as fh:
-            analytics.write_table1_csv(fh, analytics.table1(N_list=(6, 8)))
+        assert main(["table1", "--N-list", "6,8", "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
         assert lines[0] == "N,tau_exact,tau_theory,overlap_exact,overlap_theory"
         assert len(lines) == 3

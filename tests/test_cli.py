@@ -1,4 +1,7 @@
+import ast
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,7 +11,7 @@ import numpy as np
 import pytest
 
 import nhtop
-from nhtop.cli import build_parser, main
+from nhtop.cli import _write_csv, build_parser, main
 
 
 def _read_csv(path):
@@ -332,3 +335,29 @@ def test_spectrum_prints_no_negative_zero(tmp_path):
     _, rows = _read_csv(out)
     assert rows[0][1:4] == ["0", "0", "0"]  # the exact dark mode
     assert not any(field == "-0" for row in rows for field in row)
+
+
+def test_write_csv_layout():
+    buf = io.StringIO()
+    _write_csv(buf, ("n", "x", "y"), [(1, 0.1, math.inf), (np.int64(20), -2.5, 1 / 3)],
+               ("first", "second"))
+    assert buf.getvalue() == ("# first\n# second\nn,x,y\n"
+                              "1,0.10000000000000001,inf\n"
+                              "20,-2.5,0.33333333333333331\n")
+
+
+def test_only_the_cli_writes():
+    # every other module returns data; formatting and output stay in cli.py
+    package = Path(nhtop.__file__).resolve().parent
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            if (isinstance(f, ast.Name) and f.id == "print") or (
+                    isinstance(f, ast.Attribute) and f.attr == "write"):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from nhtop import disorder, dynamics, netmodel, spectral
+from nhtop.cli import main
 
 SSH_PARAMS = {"J1": 1.0, "J2": 1.8, "Gamma": 0.5}
 
@@ -162,11 +163,10 @@ def test_config_leaves_caller_time_grid_writeable():
 
 
 def test_csv_output(tmp_path):
-    cfg = _cfg(0.4, n_real=5)
-    res = disorder.run_ensemble(cfg)
     out = tmp_path / "ens.csv"
-    with open(out, "w") as fh:
-        disorder.write_ensemble_csv(fh, cfg, res)
+    assert main(["disorder", "--model", "ssh", "--N", "7", "--J1", "1", "--J2", "1.8",
+                 "--gamma", "0.5", "--mu", "0.4", "--n-realizations", "5", "--seed", "99",
+                 "--t-max", "50", "--t-points", "2", "--no-log-time", "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
     data = [l for l in lines if not l.startswith("#")]
     assert data[0] == "t,mean_coherence,stderr,n_ok"

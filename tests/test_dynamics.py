@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nhtop import dynamics, netmodel, spectral
+from nhtop.cli import main
 from nhtop.analytics import dark_sector_prediction, ssh_odd_asymptotic_coherence
 from nhtop.errors import NumericError
 from conftest import random_network, star_network
@@ -90,8 +91,10 @@ class TestCoherenceTrace:
             dynamics.coherence_trace(H, [1.0, 0.5])
 
     def test_trace_type_rejects_bad_initial_value(self):
-        with pytest.raises(NumericError):
-            dynamics.CoherenceTrace(np.array([0.0, 1.0]), np.array([0.9, 0.5]), "expm")
+        with pytest.raises(NumericError) as exc:
+            dynamics.CoherenceTrace([0, 1], [0.9, 0.5], "expm")
+        # the message reaches the CLI's stderr: a plain float, not a numpy repr
+        assert "C(0) = 0.9 " in str(exc.value) and "np.float64" not in str(exc.value)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_trace_type_rejects_non_finite_values(self, bad):
@@ -373,12 +376,11 @@ def test_log_time_grid():
 
 
 def test_write_trace_csv(tmp_path):
-    H = netmodel.build_ssh_model(3, 1.0, 1.8, 0.5)
-    tr = dynamics.coherence_trace(H, np.array([0.0, 1.0]))
     out = tmp_path / "trace.csv"
-    with open(out, "w") as fh:
-        dynamics.write_trace_csv(fh, tr, ("hello",))
+    assert main(["coherence", "--model", "ssh", "--N", "3", "--J1", "1", "--J2", "1.8",
+                 "--gamma", "0.5", "--t-max", "1", "--t-points", "2", "--no-log-time",
+                 "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
-    assert lines[0] == "# hello"
+    assert lines[0] == "# method=spectral"
     assert lines[1] == "t,coherence"
     assert lines[2].startswith("0,1")

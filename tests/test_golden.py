@@ -4,7 +4,8 @@ Each case runs ``nhtop.cli.main`` in process and compares what it writes
 with a file under ``tests/golden/``: the seven README command-line examples
 (``table1`` through its ``--out`` file, as the README calls it) and
 ``spectrum --config`` on the README's custom network.  A change that alters
-any printed byte fails here; if the change is intended, regenerate the files
+any printed byte fails here, as does one that moves the ``--gnuplot-header``
+line; if the change is intended, regenerate the files
 from the repository root with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -60,6 +61,26 @@ def run_case(argv, workdir: pathlib.Path) -> bytes:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_matches_golden(name, tmp_path):
     assert run_case(CASES[name], tmp_path) == (GOLDEN / name).read_bytes()
+
+
+#: the columns each CSV command's ``--gnuplot-header`` line plots
+GNUPLOT_COLUMNS = {"model": "1:3", "spectrum": "2:3", "coherence": "1:2", "table1": "1:2",
+                   "scaling": "1:5", "disorder": "1:2"}
+
+
+@pytest.mark.parametrize("name", sorted(n for n in CASES if CASES[n][0] in GNUPLOT_COLUMNS))
+def test_gnuplot_header_inserts_one_line_into_golden(name, tmp_path):
+    argv = CASES[name]
+    out = str(tmp_path / argv[argv.index("--out") + 1]) if "--out" in argv else "-"
+    gnuplot = (f"# gnuplot: set datafile separator ','; plot '{out}' "
+               f"using {GNUPLOT_COLUMNS[argv[0]]} with lines\n")
+    lines = (GOLDEN / name).read_bytes().decode("utf-8").splitlines(keepends=True)
+    # first, except in a disorder file, where the configuration echo leads
+    at = 0
+    if argv[0] == "disorder":
+        at = 1 + next(i for i, line in enumerate(lines) if line.startswith("# n_ok="))
+    lines.insert(at, gnuplot)
+    assert run_case(argv + ["--gnuplot-header"], tmp_path) == "".join(lines).encode("utf-8")
 
 
 if __name__ == "__main__":

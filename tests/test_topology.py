@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from nhtop import netmodel, topology
+from nhtop.cli import main
 from nhtop.errors import GapClosureError, PhaseBoundaryError, SpecificationError
 
 
@@ -35,6 +36,21 @@ class TestBlochMatrices:
             assert m[0, 2] == pytest.approx(2.0 * np.exp(1j * k) + 0.7)
             block = m[:2, :2]
             assert np.allclose(block, block.conj().T, atol=1e-15)
+
+    def test_cells_derived_from_the_chains_equal_the_published_cells(self):
+        # the published Bloch matrices, written out, against the ones read off
+        # each chain's two-cell open chain
+        rng = np.random.default_rng(5)
+        for k in np.concatenate([[0.0, np.pi, 2 * np.pi], rng.uniform(0, 2 * np.pi, 20)]):
+            J1, J2, G = rng.uniform(-2, 2, 3) + [0, 0, 2.5]
+            v = J1 + J2 * np.exp(1j * k)
+            np.testing.assert_array_equal(topology.bloch_ssh(J1, J2, G)(k),
+                                          [[0.0, v], [np.conj(v), -1j * G]])
+            J1, J2, J3, J, e1, e2 = rng.uniform(-2, 2, 6)
+            t13 = J3 * np.exp(1j * k) + J
+            want = [[e1, J1, t13], [J1, e2, J2], [np.conj(t13), J2, -1j * G]]
+            np.testing.assert_array_equal(topology.bloch_three_site(J1, J2, J3, J, e1, e2, G)(k),
+                                          want)
 
     def test_lossless_cell_rejected(self):
         with pytest.raises(SpecificationError):
@@ -246,11 +262,9 @@ class TestBulkEdgeReport:
         assert all(f.r_squared == 1.0 and not f.exponential for f in rep.fits)
 
     def test_report_csv(self, tmp_path):
-        rep = topology.bulk_edge_report("ssh", {"J1": 1.0, "J2": 1.8, "Gamma": 0.5},
-                                        [8, 12, 16, 20])
         out = tmp_path / "report.csv"
-        with open(out, "w") as fh:
-            topology.write_report_csv(fh, rep)
+        assert main(["scaling", "--model", "ssh", "--J1", "1", "--J2", "1.8", "--gamma", "0.5",
+                     "--Ns", "8,12,16,20", "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
         header = [l for l in lines if not l.startswith("#")][0]
         assert header == "N,n_quasi_dark,n_localized_site1,W_closed_form,slowest_decay_rate"
