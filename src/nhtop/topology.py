@@ -9,14 +9,14 @@ modes of the open chain localize at the qubit end.
 A canonical chain's Bloch matrix is read off its two-cell open chain
 (``chain_bloch``), so the chain's bonds are stated only in its
 ``netmodel.*_network`` function; ``closed_form_winding`` dispatches to the
-published closed forms.  The library writes nothing: the CLI formats the
-report as CSV.
+published closed forms.  The numeric winding evaluates the whole k-grid in
+one evaluator call and takes every gauge phase from one stacked ``eigh``.
+The library writes nothing: the CLI formats the report as CSV.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -36,27 +36,36 @@ _N_BRANCHES = 3
 
 @dataclass(frozen=True)
 class BlochHamiltonian:
-    """k-dependent cell matrix, exactly one leaky site (last position)."""
+    """k-dependent cell matrix ``H(k)`` with exactly one leaky site, the last.
+
+    ``evaluator`` takes an array ``k`` of any shape and returns the cell
+    matrices at every ``k`` at once, of shape ``k.shape + (c, c)`` with
+    ``c = cell_size``.  ``H(k)`` must be 2*pi periodic, and only its last
+    diagonal entry may carry loss (negative imaginary part).
+    """
 
     cell_size: int
-    evaluator: Callable[[float], np.ndarray]
-    params: dict
+    evaluator: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self):
         if self.cell_size not in (2, 3):
             raise SpecificationError("only 2- and 3-site unit cells are supported")
-        m0 = self(0.0)
-        m2pi = self(2 * math.pi)
+        m0, m2pi = self(np.array([0.0, 2 * math.pi]))
         scale = max(1.0, float(np.max(np.abs(m0))))
         if np.max(np.abs(m0 - m2pi)) > 1e-14 * scale:
             raise SpecificationError("Bloch matrix must be 2*pi periodic")
         diag_im = np.imag(np.diag(m0))
         if np.count_nonzero(diag_im < 0) != 1 or np.any(diag_im > 1e-14 * scale):
             raise SpecificationError("exactly one diagonal entry must carry loss")
+        if diag_im[-1] >= 0:
+            raise SpecificationError(
+                f"the lossy site must be the last of the cell (site {self.cell_size - 1}); "
+                f"loss is on site {int(np.argmin(diag_im))}")
 
-    def __call__(self, k: float) -> np.ndarray:
+    def __call__(self, k: float | np.ndarray) -> np.ndarray:
+        k = np.asarray(k, dtype=float)
         m = np.asarray(self.evaluator(k), dtype=complex)
-        if m.shape != (self.cell_size, self.cell_size):
+        if m.shape != k.shape + (self.cell_size, self.cell_size):
             raise SpecificationError("evaluator returned a wrongly shaped matrix")
         return m
 
@@ -70,10 +79,10 @@ def chain_bloch(model: str, params: dict) -> BlochHamiltonian:
     h0, B = m[:c, :c], m[c:, :c]
 
     def hk(k):
-        e = np.exp(1j * k)
+        e = np.exp(1j * k)[..., None, None]
         return h0 + B * e + B.T * np.conj(e)
 
-    return BlochHamiltonian(c, hk, netmodel.model_params(model, params))
+    return BlochHamiltonian(c, hk)
 
 
 def bloch_ssh(J1: float, J2: float, Gamma: float) -> BlochHamiltonian:
@@ -99,77 +108,29 @@ class WindingResult:
             raise ValueError("method must be 'numeric' or 'closed_form'")
 
 
-def _gauge_phases(bloch: BlochHamiltonian, ks: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    """Unit-modulus det U(k) samples from the Bloch matrices ``mats`` at ``ks``."""
-    n = bloch.cell_size
-    hs = mats[:, : n - 1, : n - 1]
-    vs = mats[:, : n - 1, n - 1]
+def _gauge_phases(mats: np.ndarray) -> np.ndarray:
+    """Unit-modulus det U(k) samples from the stacked Bloch matrices ``mats``.
+
+    One stacked ``eigh`` diagonalizes the non-lossy block ``h`` at every k; with
+    ``z_j = q_j^dagger v`` the overlap of eigenvector ``q_j`` with the coupling
+    ``v`` to the lossy site, ``det U = det q / |det q| * prod_j z_j / |z_j|``.
+    A vanishing ``z_j`` or a degenerate ``h`` leaves ``U`` undefined, but either
+    gives ``H(k)`` an eigenvector with a real eigenvalue (``(q_j, 0)``, or the
+    part of the degenerate eigenspace orthogonal to ``v``): a dark state, which
+    ``_check_no_dark_state`` has rejected already.
+    """
+    n = mats.shape[-1] - 1
+    hs = mats[:, :n, :n]
+    vs = mats[:, :n, n]
 
     scale = max(1.0, float(np.max(np.abs(mats))))
     if np.max(np.abs(hs - np.conj(np.swapaxes(hs, 1, 2)))) > 1e-12 * scale:
         raise SpecificationError("non-lossy block must be Hermitian for all k")
 
-    # constant Hermitian block (both chain families): one diagonalization
-    if np.max(np.abs(hs - hs[0])) < 1e-14 * scale:
-        q = _gauge_basis(hs[0], vs[0])
-        z = vs @ np.conj(q)  # rows: (n-1) overlaps at each k
-        dq = np.linalg.det(q)
-        return _phase_product(z, dq / abs(dq), bloch, ks)
-
-    out = np.empty(ks.shape, dtype=complex)
-    for i, k in enumerate(ks):
-        q = _gauge_basis(hs[i], vs[i])
-        z = (np.conj(q).T @ vs[i])[None, :]
-        dq = np.linalg.det(q)
-        out[i] = _phase_product(z, dq / abs(dq), bloch, np.array([k]))[0]
-    return out
-
-
-def _gauge_basis(h: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Eigenbasis of the Hermitian block; degenerate subspaces are rotated so
-    only one column keeps overlap with the lossy-site coupling vector."""
-    evals, q = np.linalg.eigh(h)
-    q = q.astype(complex)  # rotations below may be complex even for real h
-    n = evals.size
-    scale = max(1.0, float(np.max(np.abs(evals))))
-    i = 0
-    while i < n:
-        j = i + 1
-        while j < n and evals[j] - evals[i] <= 1e-12 * scale:
-            j += 1
-        if j - i > 1:
-            block = q[:, i:j]
-            proj = block.conj().T @ v
-            if np.linalg.norm(proj) > 1e-14:
-                u1 = block @ proj
-                u1 /= np.linalg.norm(u1)
-                # orthonormal complement of u1 inside the degenerate subspace
-                rest = block - np.outer(u1, u1.conj() @ block)
-                uu = np.linalg.svd(rest, full_matrices=False)[0]
-                q[:, i:j] = np.column_stack([u1, uu[:, : j - i - 1]])
-        i = j
-    return q
-
-
-def _phase_product(z: np.ndarray, det_q_phase: complex, bloch, ks) -> np.ndarray:
-    """Combine per-component gauge phases into det U(k) on the unit circle."""
-    mags = np.abs(z)
-    tiny = mags < 1e-12
-    if np.any(tiny):
-        # measure-zero vanishing of a gauge component: nudge k and retry once
-        rows = np.unique(np.nonzero(tiny)[0])
-        warnings.warn("gauge vector component vanished at isolated k; perturbing")
-        z = z.copy()
-        for r in rows:
-            krow = ks[r if ks.size > 1 else 0] + 1e-9
-            m = bloch(krow)
-            n = bloch.cell_size
-            q = _gauge_basis(m[: n - 1, : n - 1], m[: n - 1, n - 1])
-            z[r] = m[: n - 1, n - 1] @ np.conj(q)
-        mags = np.abs(z)
-        z = np.where(mags < 1e-12, 1.0, z)
-        mags = np.where(mags < 1e-12, 1.0, mags)
-    return det_q_phase * np.prod(z / mags, axis=1)
+    q = np.linalg.eigh(hs)[1]
+    z = np.einsum("kij,ki->kj", np.conj(q), vs)
+    dq = np.linalg.det(q)
+    return dq / np.abs(dq) * np.prod(z / np.abs(z), axis=1)
 
 
 def _check_no_dark_state(mats: np.ndarray):
@@ -184,16 +145,18 @@ def _check_no_dark_state(mats: np.ndarray):
 def winding_number_numeric(bloch: BlochHamiltonian, n_k: int = 256) -> WindingResult:
     """Winding of det U(k) by phase accumulation over the Brillouin zone.
 
-    The grid is doubled until every unwrapped phase step is below pi/2; the
-    total must land on an integer multiple of 2*pi within 5%.
+    ``n_k`` in [64, MAX_KPOINTS] is the first grid; it is doubled until every
+    unwrapped phase step is below pi/2, and the total must land on an integer
+    multiple of 2*pi within 5%.
     """
     if n_k < 64:
         raise ValueError("n_k must be at least 64")
+    if n_k > MAX_KPOINTS:
+        raise ValueError(f"n_k must be at most {MAX_KPOINTS}; got {n_k}")
     while True:
-        ks = np.linspace(0.0, 2 * math.pi, n_k, endpoint=False)
-        mats = np.stack([bloch(k) for k in ks])
+        mats = bloch(np.linspace(0.0, 2 * math.pi, n_k, endpoint=False))
         _check_no_dark_state(mats)
-        u = _gauge_phases(bloch, ks, mats)
+        u = _gauge_phases(mats)
         steps = np.angle(np.roll(u, -1) * np.conj(u))
         max_step = float(np.max(np.abs(steps)))
         if max_step < math.pi / 2:
@@ -294,21 +257,13 @@ class BulkEdgeRow:
     n_quasi_dark: int
     n_localized_site1: int
     slowest_decay_rate: float
-    decay_rates: tuple
 
 
 @dataclass(frozen=True)
 class BulkEdgeReport:
-    model: str
-    params: dict
     rows: tuple
     fits: tuple
     W_closed_form: int
-    eps_dark: float
-
-    @property
-    def n_exponential_branches(self) -> int:
-        return sum(1 for f in self.fits if f.exponential)
 
 
 def bulk_edge_report(model: str, params: dict, N_list: Sequence[int],
@@ -317,7 +272,7 @@ def bulk_edge_report(model: str, params: dict, N_list: Sequence[int],
 
     For every N: number of modes below ``eps_dark``, how many of those sit in
     the first unit cell with weight on the qubit, and the smallest decay
-    rates.  Branch m tracks the m-th smallest rate across N; a log-linear fit
+    rate.  Branch m tracks the m-th smallest rate across N; a log-linear fit
     of each branch identifies lifetimes growing exponentially with system
     size.  Exact dark modes (rate below 1e-13) are excluded from the fits.
     """
@@ -340,15 +295,7 @@ def bulk_edge_report(model: str, params: dict, N_list: Sequence[int],
         rates = sd.decay_rates  # ascending: decompose sorts the modes
         for m in range(min(_N_BRANCHES, rates.size)):
             branch_rates[m][n] = float(rates[m])
-        rows.append(
-            BulkEdgeRow(
-                N=n,
-                n_quasi_dark=len(modes),
-                n_localized_site1=nloc,
-                slowest_decay_rate=float(rates[0]),
-                decay_rates=tuple(float(r) for r in rates[:_N_BRANCHES]),
-            )
-        )
+        rows.append(BulkEdgeRow(n, len(modes), nloc, float(rates[0])))
 
     fits = []
     for m in range(_N_BRANCHES):
@@ -360,5 +307,4 @@ def bulk_edge_report(model: str, params: dict, N_list: Sequence[int],
             r2 = 1.0
         fits.append(BranchFit(m, float(slope), float(r2), len(pts)))
 
-    eps_used = eps_dark if eps_dark is not None else -1.0
-    return BulkEdgeReport(model, dict(params), tuple(rows), tuple(fits), w_closed, eps_used)
+    return BulkEdgeReport(tuple(rows), tuple(fits), w_closed)

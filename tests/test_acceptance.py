@@ -176,7 +176,8 @@ def test_criterion_8_scaling_laws(record_criterion):
     params = {"J1": 1.4, "J2": 0.3, "J3": 3.0, "J": 0.7,
               "eps1": 0.0, "eps2": 0.0, "Gamma": 1.5}
     three = topology.bulk_edge_report("three-site", params, [6, 9, 12, 15, 18])
-    branches_ok = three.n_exponential_branches == three.W_closed_form == 2
+    n_exp = sum(f.exponential for f in three.fits)
+    branches_ok = n_exp == three.W_closed_form == 2
 
     darks_ok = True
     for n in (8, 11, 14):
@@ -188,7 +189,7 @@ def test_criterion_8_scaling_laws(record_criterion):
     ok = slope_ok and branches_ok and darks_ok
     record_criterion(8, "edge-mode lifetime scaling", ok,
                      f"slope {slope:.4f} vs {-math.log(1.8):.4f}; "
-                     f"{three.n_exponential_branches} exp branches; dark pairs {darks_ok}")
+                     f"{n_exp} exp branches; dark pairs {darks_ok}")
     assert slope_ok
     assert branches_ok
     assert darks_ok

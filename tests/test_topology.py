@@ -51,10 +51,66 @@ class TestBlochMatrices:
             want = [[e1, J1, t13], [J1, e2, J2], [np.conj(t13), J2, -1j * G]]
             np.testing.assert_array_equal(topology.bloch_three_site(J1, J2, J3, J, e1, e2, G)(k),
                                           want)
+        # an array of k evaluates to the same matrices, stacked, in one call
+        ks = np.concatenate([[0.0, np.pi], rng.uniform(0, 2 * np.pi, 17)])
+        for bloch in (topology.bloch_ssh(1.0, 1.8, 0.5),
+                      topology.bloch_three_site(1.0, 0.3, 2.0, 0.7, 0.1, -0.2, 0.5)):
+            np.testing.assert_array_equal(bloch(ks), np.stack([bloch(k) for k in ks]))
+            assert bloch(ks.reshape(1, 19)).shape == (1, 19) + (bloch.cell_size,) * 2
 
     def test_lossless_cell_rejected(self):
         with pytest.raises(SpecificationError):
             topology.bloch_ssh(1.0, 1.8, 0.0)
+
+
+class TestCustomEvaluator:
+    # the checks a hand-written evaluator can trip, which no chain reaches
+    @staticmethod
+    def _ssh_cell(k, shift=0.0):
+        # the ssh cell [[0, v], [conj v, -0.5 i]] with v = 1 + 1.8 e^{i (1 + shift) k}
+        v = 1.0 + 1.8 * np.exp(1j * k * (1 + shift))
+        m = np.zeros(k.shape + (2, 2), dtype=complex)
+        m[..., 0, 1], m[..., 1, 0], m[..., 1, 1] = v, np.conj(v), -0.5j
+        return m
+
+    def test_well_formed_evaluator_is_accepted(self):
+        assert topology.winding_number_numeric(
+            topology.BlochHamiltonian(2, self._ssh_cell)).W == 1
+
+    def test_not_periodic(self):
+        with pytest.raises(SpecificationError, match="2\\*pi periodic"):
+            topology.BlochHamiltonian(2, lambda k: self._ssh_cell(k, shift=0.5))
+
+    def test_wrongly_shaped(self):
+        # a per-k evaluator returns one matrix for the whole grid
+        with pytest.raises(SpecificationError, match="wrongly shaped"):
+            topology.BlochHamiltonian(2, lambda k: np.array([[0.0, 1.0], [1.0, -0.5j]]))
+
+    def test_non_hermitian_lossless_block(self):
+        def cell(k):
+            m = np.zeros(k.shape + (3, 3), dtype=complex)
+            # symmetric, not Hermitian, and too weak to outgrow the loss
+            m[..., 0, 1] = m[..., 1, 0] = 1.0 + 0.05j
+            m[..., 0, 2] = 0.7 + 2.0 * np.exp(1j * k)
+            m[..., 2, 0] = np.conj(m[..., 0, 2])
+            m[..., 1, 2] = m[..., 2, 1] = 0.3
+            m[..., 2, 2] = -0.5j
+            return m
+
+        bloch = topology.BlochHamiltonian(3, cell)
+        with pytest.raises(SpecificationError, match="non-lossy block must be Hermitian"):
+            topology.winding_number_numeric(bloch)
+
+    @pytest.mark.parametrize("cell_size,site", [(2, 0), (3, 0), (3, 1)])
+    def test_lossy_site_not_last(self, cell_size, site):
+        base = (topology.bloch_ssh(1.0, 1.8, 0.5) if cell_size == 2
+                else topology.bloch_three_site(1.0, 0.3, 2.0, 0.7, 0.0, 0.0, 0.5))
+        order = list(range(cell_size - 1))
+        order.insert(site, cell_size - 1)        # the lossy site moves to ``site``
+        with pytest.raises(SpecificationError,
+                           match=f"last of the cell \\(site {cell_size - 1}\\); "
+                                 f"loss is on site {site}"):
+            topology.BlochHamiltonian(cell_size, lambda k: base(k)[..., order, :][..., order])
 
 
 class TestNumericWinding:
@@ -112,38 +168,58 @@ class TestNumericWinding:
         alpha = rng.uniform(0, 2 * np.pi, 2)
         D = np.diag(np.exp(1j * np.concatenate([alpha, [0.0]])))
 
-        gauged = topology.BlochHamiltonian(3, lambda k: D @ base(k) @ D.conj().T, {})
+        # ``base(k)`` has shape k.shape + (3, 3); ``@`` broadcasts D over the grid
+        gauged = topology.BlochHamiltonian(3, lambda k: D @ base(k) @ D.conj().T)
         assert topology.winding_number_numeric(gauged).W == 2
+
+    @staticmethod
+    def _relabeled(base, m):
+        # D H(k) D^dagger with D = diag(e^{imk}, 1, 1), over an array of k
+        def gauged_eval(k):
+            d = np.ones(k.shape + (3,), dtype=complex)
+            d[..., 0] = np.exp(1j * m * k)
+            return d[..., :, None] * base(k) * np.conj(d[..., None, :])
+
+        return topology.BlochHamiltonian(3, gauged_eval)
 
     @pytest.mark.parametrize("m,w", [(1, 3), (-1, 1), (-2, 0)])
     def test_k_dependent_block_relabeling_shifts_winding(self, m, w):
         # relabeling site 1 by one cell per winding m makes the non-lossy
         # block genuinely k-dependent and shifts W by exactly m; this drives
-        # the per-k diagonalization path with a known answer
+        # the stacked diagonalization with a k-dependent block and a known answer
         base = topology.bloch_three_site(1.0, 0.3, 2.0, 0.7, 0.0, 0.0, 0.5)
+        assert topology.winding_number_numeric(self._relabeled(base, m)).W == w
 
-        def gauged_eval(k):
-            D = np.diag([np.exp(1j * m * k), 1.0, 1.0])
-            return D @ base(k) @ D.conj().T
+    def test_one_evaluator_call_per_grid_level(self):
+        # W = 22 needs steps of 2 pi 22 / 64 > pi/2, so the grid doubles once
+        base = topology.bloch_three_site(1.0, 0.3, 2.0, 0.7, 0.0, 0.0, 0.5)
+        gauged = self._relabeled(base, 20)
+        shapes = []
+        counted = topology.BlochHamiltonian(
+            3, lambda k: shapes.append(k.shape) or gauged.evaluator(k))
+        assert shapes == [(2,)]                        # the periodicity and loss checks
+        res = topology.winding_number_numeric(counted, 64)
+        assert (res.W, res.k_points) == (22, 128)
+        assert shapes == [(2,), (64,), (128,)]
 
-        gauged = topology.BlochHamiltonian(3, gauged_eval, {})
-        assert topology.winding_number_numeric(gauged).W == w
+    @pytest.mark.parametrize("params", [
+        # J1 = 0, eps1 = eps2: a degenerate non-lossy block at every k
+        (0.0, 0.3, 2.0, 0.7, 0.2, 0.2, 0.5),
+        # J2 = 0, J3 = J: the coupling to the lossy site vanishes at k = pi
+        (1.0, 0.0, 0.3, 0.3, 0.0, 0.0, 0.5),
+    ], ids=["degenerate-block", "vanishing-component"])
+    def test_undefined_gauge_is_a_dark_state(self, params):
+        # where det U(k) is undefined, H(k) has a real eigenvalue
+        with pytest.raises(GapClosureError, match="dark state on the k-grid"):
+            topology.winding_number_numeric(topology.bloch_three_site(*params))
 
-
-def test_degenerate_gauge_rotation_stays_unitary():
-    # direct check of the degenerate-subspace rotation: only one rotated
-    # column may keep overlap with the coupling vector, and the basis must
-    # remain unitary even for complex couplings over a real block
-    from nhtop.topology import _gauge_basis
-
-    h = np.diag([1.0, 1.0, 2.0])
-    v = np.array([0.3, -0.5j, 0.7])
-    q = _gauge_basis(h, v)
-    assert np.allclose(q.conj().T @ q, np.eye(3), atol=1e-13)
-    assert np.allclose(q.conj().T @ h @ q, h, atol=1e-13)
-    overlaps = np.abs(q.conj().T @ v)
-    assert overlaps[1] < 1e-13          # rotated out of the coupling
-    assert overlaps[0] == pytest.approx(np.hypot(0.3, 0.5), abs=1e-13)
+    def test_too_large_grid_rejected(self, capsys):
+        # only 2^17 + 1 is tried: without the bound, a large --n-k would build
+        # a grid of that many cell matrices
+        assert main(["winding", "--model", "ssh", "--n-k", str(topology.MAX_KPOINTS + 1)]) == 2
+        assert capsys.readouterr().err == (
+            f"nhtop: configuration error: n_k must be at most {topology.MAX_KPOINTS}; "
+            f"got {topology.MAX_KPOINTS + 1}\n")
 
 
 class TestClosedForms:
@@ -227,7 +303,7 @@ class TestBulkEdgeReport:
                   "eps1": 0.0, "eps2": 0.0, "Gamma": 1.5}
         rep = topology.bulk_edge_report("three-site", params, [6, 9, 12, 15, 18])
         assert rep.W_closed_form == 2
-        assert rep.n_exponential_branches == 2
+        assert sum(f.exponential for f in rep.fits) == 2
 
     def test_ssh_below_even_threshold_has_no_edge_modes(self):
         # d = 1.2 < 1 + 2/8: no protected mode at N=8
