@@ -9,7 +9,8 @@ writes nothing; every table is formatted here by ``_write_csv``, the one
 statement of the CSV layout (``# `` comment lines, a header, values at 17
 significant digits), so identical invocations produce byte-identical files.
 Exit codes: 0 success, 1 stdout closed early (as by
-``| head``, without a message), 2 configuration error, 3 numerical failure.
+``| head``, without a message), 2 configuration error (including a request
+too large for memory), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -297,7 +298,9 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     except (SpecificationError, PhaseBoundaryError, ValueError, KeyError,
-            OSError, json.JSONDecodeError) as exc:
+            OSError, json.JSONDecodeError, MemoryError) as exc:
+        # MemoryError: a request larger than this machine, such as a table of
+        # 10^9 realizations; numpy's message names the size it could not allocate
         print(f"nhtop: configuration error: {exc}", file=sys.stderr)
         return 2
     except (NumericError, np.linalg.LinAlgError) as exc:

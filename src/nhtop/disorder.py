@@ -24,14 +24,29 @@ row equals that per-realization trace bit for bit.  A chunk holds as many
 realizations as keep each stacked temporary, ``(R_c, N, N)`` or
 ``(R_c, T, N)``, near ``2^14`` complex elements (256 KiB).
 
-Aggregation is indexed by realization number and accumulated relative to the
-clean (mu = 0) trace, so the mean is independent of evaluation order and a
-zero-width ensemble equals the clean trace exactly.
+The chunks are shared out among one worker per CPU available to the process
+(``_workers``; the calling thread is one of them, and with one worker no
+thread is started).  Each worker takes the next chunk from a common queue and
+writes its rows into their own slice of the realization table; the stacked
+``eig`` and ``exp`` release the interpreter lock, so the workers overlap.  A
+worker that raises stops the others at their next chunk, and the first error
+is re-raised to the caller once every worker has finished.  Concurrent
+callers of a threaded OpenBLAS contend, so the CPUs are divided by the BLAS
+threads of each call: at OpenBLAS's default of one thread per CPU one worker
+runs, and at ``OPENBLAS_NUM_THREADS=1`` every CPU gets a worker.
+
+Aggregation starts once every row is in, is indexed by realization number and
+is accumulated relative to the clean (mu = 0) trace, so the mean, the stderr
+and every stored row are bit-identical for any worker count and evaluation
+order, and a zero-width ensemble equals the clean trace exactly.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -160,12 +175,80 @@ def _chunk_values(H0, cfg: DisorderConfig, first: int, count: int) -> np.ndarray
     return values
 
 
+def _blas_threads() -> int:
+    """Threads of each call into the OpenBLAS behind ``np.linalg``; 1 where
+    numpy's BLAS cannot be asked (another BLAS, or OpenBLAS under another
+    symbol name)."""
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except (AttributeError, OSError):
+        return 1
+    for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                   "openblas_get_num_threads"):
+        get = getattr(lib, symbol, None)
+        if get is not None:
+            get.restype = ctypes.c_int
+            return max(1, get())
+    return 1
+
+
+def _workers() -> int:
+    """One ensemble worker per CPU this process may run on, divided by the
+    BLAS threads each worker's solves would start.  Concurrent callers of a
+    threaded OpenBLAS contend: on 2 CPUs at OpenBLAS's default of 2 threads,
+    two workers made a three-site N=30 ensemble 21% slower than one."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return max(1, cpus // _blas_threads())
+
+
+def _fill_table(H0, cfg: DisorderConfig, table: np.ndarray, step: int) -> None:
+    """Write the rows of every chunk of ``step`` realizations into ``table``.
+
+    ``min(_workers(), chunks)`` workers take chunk starts from one iterator
+    under a lock; the calling thread is one of them.  The first error raised
+    by any worker stops the others at their next chunk and is re-raised here
+    after every worker has been joined.
+    """
+    n = table.shape[0]
+    starts = range(0, n, step)
+    pending = iter(starts)
+    lock = threading.Lock()
+    stop = threading.Event()
+    errors = []
+
+    def work():
+        try:
+            while not stop.is_set():
+                with lock:
+                    first = next(pending, None)
+                if first is None:
+                    return
+                count = min(step, n - first)
+                table[first:first + count] = _chunk_values(H0, cfg, first, count)
+        except BaseException as exc:  # re-raised by the caller below
+            errors.append(exc)
+            stop.set()
+
+    threads = [threading.Thread(target=work) for _ in range(min(_workers(), len(starts)) - 1)]
+    for thread in threads:
+        thread.start()
+    work()
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+
+
 def run_ensemble(cfg: DisorderConfig) -> EnsembleResult:
     """Average the coherence over detuning realizations.
 
     Each realization is written into its own slot of the table, so the
-    aggregate does not depend on evaluation order.  Realizations whose
-    evolution fails numerically are skipped and counted in ``n_failed``.
+    aggregate does not depend on evaluation order or on the worker count.
+    Realizations whose evolution fails numerically are skipped and counted in
+    ``n_failed``.
     """
     H0 = netmodel.build_model(cfg.model, cfg.N, cfg.params)
     clean = coherence_trace(H0, cfg.times)
@@ -173,10 +256,7 @@ def run_ensemble(cfg: DisorderConfig) -> EnsembleResult:
 
     n = cfg.n_realizations
     table = np.empty((n, base.size))
-    step = _chunk_rows(cfg.N, base.size)
-    for first in range(0, n, step):
-        count = min(step, n - first)
-        table[first:first + count] = _chunk_values(H0, cfg, first, count)
+    _fill_table(H0, cfg, table, _chunk_rows(cfg.N, base.size))
 
     ok = np.all(np.isfinite(table), axis=1)
     n_ok = int(np.count_nonzero(ok))
@@ -185,10 +265,12 @@ def run_ensemble(cfg: DisorderConfig) -> EnsembleResult:
 
     # mean as clean + mean of deltas: order-independent (index-ordered sum)
     # and bit-exact equal to the clean trace when mu = 0
-    deltas = table[ok, :] - base[None, :]
+    rows = table if n_ok == n else table[ok, :]
+    deltas = rows - base[None, :]
     mean = base + np.add.reduce(deltas, axis=0) / n_ok
     if n_ok > 1:
-        var = np.add.reduce((table[ok, :] - mean[None, :]) ** 2, axis=0) / (n_ok - 1)
+        squares = np.square(np.subtract(rows, mean[None, :], out=deltas), out=deltas)
+        var = np.add.reduce(squares, axis=0) / (n_ok - 1)
         stderr = np.sqrt(var / n_ok)
     else:
         stderr = np.zeros_like(mean)
@@ -200,5 +282,5 @@ def run_ensemble(cfg: DisorderConfig) -> EnsembleResult:
         clean_trace=clean,
         n_ok=n_ok,
         n_failed=n - n_ok,
-        realizations=table[ok, :] if cfg.store_realizations else None,
+        realizations=rows if cfg.store_realizations else None,
     )

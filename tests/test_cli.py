@@ -235,6 +235,38 @@ def test_site_mask_rejects_characters_other_than_0_and_1(tmp_path, capsys):
     assert "site-mask" in capsys.readouterr().err
 
 
+def _out_of_memory(*args, **kwargs):
+    # what numpy raises for a table larger than the machine; no test allocates one
+    raise MemoryError("Unable to allocate 1.46 TiB for an array with shape (1000000000, 200)")
+
+
+def test_request_too_large_for_memory_exits_two(monkeypatch, capsys):
+    monkeypatch.setattr(nhtop.dynamics, "log_time_grid", _out_of_memory)
+    assert main(["coherence", "--model", "ssh", "--N", "3", "--t-points", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("nhtop: configuration error: Unable to allocate 1.46 TiB"
+                            " for an array with shape (1000000000, 200)\n")
+
+
+def test_memory_error_in_an_ensemble_worker_exits_two(tmp_path, monkeypatch, capsys):
+    chunk = nhtop.disorder._chunk_values
+
+    def second_chunk_out_of_memory(H0, cfg, first, count):
+        if first > 0:
+            _out_of_memory()
+        return chunk(H0, cfg, first, count)
+
+    monkeypatch.setattr(nhtop.disorder, "_workers", lambda: 2)
+    monkeypatch.setattr(nhtop.disorder, "_chunk_values", second_chunk_out_of_memory)
+    out = tmp_path / "dis.csv"
+    assert nhtop.disorder._chunk_rows(3, 400) < 40
+    assert main(["disorder", "--model", "ssh", "--N", "3", "--n-realizations", "40",
+                 "--t-points", "400", "--out", str(out)]) == 2
+    assert "nhtop: configuration error: Unable to allocate" in capsys.readouterr().err
+    assert not out.exists()  # the run fails before the output is opened
+
+
 _CUSTOM_SITES = [{"kind": "qubit"}, {"kind": "cavity", "gamma": 4.0}]
 
 

@@ -1,3 +1,11 @@
+import os
+import subprocess
+import sys
+import threading
+import time
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -259,5 +267,122 @@ class TestStackedPath:
         step = disorder._chunk_rows(30, times.size)
         chunks = [min(step, 25 - first) for first in range(0, 25, step)]
         assert len(chunks) > 1
-        # one solve for the clean trace, then one per chunk and none per realization
-        assert shapes == [(30, 30)] + [(c, 30, 30) for c in chunks]
+        # one solve for the clean trace, then one per chunk and none per
+        # realization; the chunks' workers finish in any order
+        assert Counter(shapes) == Counter([(30, 30)] + [(c, 30, 30) for c in chunks])
+
+
+def _ensemble_under(workers, cfg, monkeypatch):
+    monkeypatch.setattr(disorder, "_workers", lambda: workers)
+    return disorder.run_ensemble(cfg)
+
+
+class TestWorkers:
+    """The chunks are shared out among worker threads; every output is
+    bit-identical for any worker count."""
+
+    @pytest.mark.parametrize("cfg, step", [
+        (_cfg(0.8, n_real=30, times=dynamics.log_time_grid(100.0, 200),
+              site_mask=(True, False, True, True, False, False, True), store_realizations=True),
+         None),
+        (disorder.DisorderConfig("three-site", 30, THREE_SITE_PARAMS, 0.35, 30, 11,
+                                 dynamics.log_time_grid(100.0, 40), store_realizations=True),
+         None),
+        # every row falls back to the expm route inside its worker; four rows
+        # a chunk keep the slow route's rows few
+        (disorder.DisorderConfig("impurity", 2, EP_PARAMS, 1e-6, 12, 5,
+                                 np.linspace(0.0, 10.0, 21), store_realizations=True),
+         4),
+    ], ids=["site-mask", "three-site", "exceptional-point"])
+    def test_every_worker_count_gives_the_same_bits(self, cfg, step, monkeypatch):
+        if step is not None:
+            monkeypatch.setattr(disorder, "_chunk_rows", lambda n, n_times: step)
+        n_chunks = -(-cfg.n_realizations // disorder._chunk_rows(cfg.N, cfg.times.size))
+        assert n_chunks >= 3
+        serial = _ensemble_under(1, cfg, monkeypatch)
+        assert serial.n_failed == 0
+        for workers in (2, 3, n_chunks + 5):
+            res = _ensemble_under(workers, cfg, monkeypatch)
+            assert np.array_equal(res.realizations, serial.realizations)
+            assert np.array_equal(res.mean_trace.values, serial.mean_trace.values)
+            assert np.array_equal(res.stderr_trace, serial.stderr_trace)
+            assert (res.n_ok, res.n_failed) == (serial.n_ok, serial.n_failed)
+
+    @pytest.mark.parametrize("blas_threads", [1, 2, 64])
+    def test_blas_threads_share_the_cpus(self, blas_threads, monkeypatch):
+        monkeypatch.setattr(disorder, "_blas_threads", lambda: blas_threads)
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        assert disorder._workers() == max(1, cpus // blas_threads)
+
+    @pytest.mark.parametrize("setting", ["1", "2"])
+    def test_blas_thread_count_is_read_from_the_library(self, setting):
+        # OpenBLAS reads the variable when it loads, so each setting needs its own process
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=setting,
+                   PYTHONPATH=str(Path(disorder.__file__).resolve().parents[1]))
+        code = "from nhtop import disorder; print(disorder._blas_threads())"
+        got = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=60).stdout.strip()
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+        assert got == (setting if "openblas" in blas else "1")
+
+    def test_threads_start_only_for_more_than_one_chunk(self, monkeypatch):
+        chunk = disorder._chunk_values
+        running = []
+
+        def counted(H0, cfg, first, count):
+            running.append(threading.active_count())
+            return chunk(H0, cfg, first, count)
+
+        monkeypatch.setattr(disorder, "_chunk_values", counted)
+        before = threading.active_count()
+        _ensemble_under(4, _cfg(0.4, n_real=5), monkeypatch)  # one chunk
+        assert running == [before]
+        running.clear()
+        cfg = _cfg(0.4, n_real=40, times=dynamics.log_time_grid(100.0, 400))
+        assert disorder._chunk_rows(7, 400) < 40 // 2
+        _ensemble_under(2, cfg, monkeypatch)
+        assert max(running) == before + 1  # one thread besides the caller
+        assert threading.active_count() == before
+
+    def test_every_chunk_is_handed_out_exactly_once(self, monkeypatch):
+        # more workers than CPUs, one-row chunks that yield the interpreter
+        # lock, and a short switch interval: a chunk taken twice or lost would
+        # show in ``firsts`` or in the table
+        firsts, takers = [], set()
+
+        def row_index(H0, cfg, first, count):  # C(0) = 1, then the row's index
+            firsts.append(first)
+            takers.add(threading.get_ident())
+            time.sleep(0)
+            return np.array([[1.0, first / 1024]] * count)
+
+        monkeypatch.setattr(disorder, "_chunk_values", row_index)
+        monkeypatch.setattr(disorder, "_chunk_rows", lambda n, n_times: 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            res = _ensemble_under(8, _cfg(0.4, n_real=300, store_realizations=True), monkeypatch)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(takers) > 1
+        assert sorted(firsts) == list(range(300))
+        assert np.array_equal(res.realizations[:, 1], np.arange(300) / 1024)
+
+    def test_an_error_in_one_worker_reaches_the_caller(self, monkeypatch):
+        chunk = disorder._chunk_values
+        step = disorder._chunk_rows(7, 400)
+        started = []
+
+        def broken(H0, cfg, first, count):
+            started.append(first)
+            if first == step:  # the second chunk
+                raise RuntimeError("chunk failed")
+            return chunk(H0, cfg, first, count)
+
+        monkeypatch.setattr(disorder, "_chunk_values", broken)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="chunk failed"):
+            _ensemble_under(2, _cfg(0.4, n_real=12 * step,
+                                    times=dynamics.log_time_grid(100.0, 400)), monkeypatch)
+        assert threading.active_count() == before
+        assert step in started and len(started) < 12  # the other worker stopped early
