@@ -12,17 +12,21 @@ on any platform:
   affinely to [-mu, mu)
 
 Realizations are solved a chunk at a time: the chunk's detunings are drawn
-with one vectorized SplitMix64, the detuned generators are stacked into one
-``(R_c, N, N)`` array and ``dynamics._spectral_batch`` evaluates them with one
-stacked eigensolve and one stacked ``exp``; a realization with a degenerate
-eigenspace is c-orthogonalized within its own row, as ``decompose`` does for
-one generator.  A realization that fails any of the spectral route's checks
+with one vectorized SplitMix64, the detuned generators are built in one
+complex ``(R_c, N, N)`` array and ``dynamics._spectral_batch`` evaluates them
+with one stacked eigensolve and a stacked ``exp``; a realization with a
+degenerate eigenspace is c-orthogonalized within its own row, as
+``decompose`` does for one generator.  A realization that fails any of the spectral route's checks
 (condition, weight completeness and cancellation, or the trace's own
 finiteness, sign and C(0) checks) is evaluated alone by ``coherence_trace``,
 which takes the ``expm`` fallback exactly as for a single generator; every
 row equals that per-realization trace bit for bit.  A chunk holds as many
-realizations as keep each stacked temporary, ``(R_c, N, N)`` or
-``(R_c, T, N)``, near ``2^14`` complex elements (256 KiB).
+realizations as keep its stacked generators ``(R_c, N, N)`` and its table
+rows ``(R_c, T)`` within ``spectral._BLOCK`` (``2^14``) elements, 256 KiB
+of complex values: 81 ssh N=7 or 18 three-site N=30 realizations at T=200.
+The stacked exponential, ``(R_c, T, N)``, is the largest temporary, and
+``dynamics._spectral_values`` evaluates it in blocks of ``2^14 // (T N)``
+rows, so that it too stays within the same budget.
 
 The chunks are shared out among one worker per CPU available to the process
 (``_workers``; the calling thread is one of them, and with one worker no
@@ -53,14 +57,11 @@ from typing import Mapping
 import numpy as np
 
 from .errors import NumericError
-from . import dynamics, netmodel
+from . import dynamics, netmodel, spectral
 from .dynamics import CoherenceTrace, coherence_trace
 
 GOLDEN = 0x9E3779B97F4A7C15
 _MASK = (1 << 64) - 1
-
-# complex elements per stacked temporary of one chunk
-_CHUNK_ELEMENTS = 2**14
 
 
 def splitmix64_stream(state: int):
@@ -117,6 +118,9 @@ class DisorderConfig:
     def __post_init__(self):
         if not (math.isfinite(self.mu) and self.mu >= 0):
             raise ValueError("mu must be finite and >= 0")
+        for name in ("N", "n_realizations"):
+            if not netmodel._is_number(getattr(self, name), integer=True):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.n_realizations < 1:
             raise ValueError("n_realizations must be >= 1")
         t = np.array(self.times, dtype=float)  # a copy: the caller's grid stays writeable
@@ -149,9 +153,11 @@ def _realization_values(H0, cfg: DisorderConfig, r: int) -> np.ndarray:
 
 
 def _chunk_rows(n: int, n_times: int) -> int:
-    """Realizations per chunk: ``(R_c, n, n)`` and ``(R_c, n_times, n)`` stay
-    within about ``_CHUNK_ELEMENTS``."""
-    return max(1, _CHUNK_ELEMENTS // max(n * n, n * n_times))
+    """Realizations per chunk: the stacked generators ``(R_c, n, n)`` and the
+    chunk's table rows ``(R_c, n_times)`` stay within ``spectral._BLOCK``
+    elements (one row at least); ``dynamics._spectral_values`` bounds its own
+    ``(rows, n_times, n)`` exponential."""
+    return max(1, spectral._BLOCK // max(n * n, n_times))
 
 
 def _chunk_values(H0, cfg: DisorderConfig, first: int, count: int) -> np.ndarray:
@@ -160,11 +166,12 @@ def _chunk_values(H0, cfg: DisorderConfig, first: int, count: int) -> np.ndarray
     mu = _draw_rows(cfg.base_seed, first, count, cfg.N, cfg.mu)
     if cfg.site_mask is not None:
         mu = np.where(cfg.site_mask, mu, 0.0)
-    detuning = np.zeros((count, cfg.N, cfg.N))
+    L = np.repeat(H0.matrix[None], count, axis=0)
     sites = np.arange(cfg.N)
-    detuning[:, sites, sites] = mu  # np.diag per row, as apply_detuning_disorder adds it
+    L[:, sites, sites] += mu  # the diagonal sums of apply_detuning_disorder
+    L *= -1j  # the generator, as EffectiveHamiltonian.generator forms it
     try:
-        values, ok = dynamics._spectral_batch(-1j * (H0.matrix + detuning), cfg.times)
+        values, ok = dynamics._spectral_batch(L, cfg.times)
     except np.linalg.LinAlgError:
         values, ok = np.empty((count, cfg.times.size)), np.zeros(count, dtype=bool)
     for i in np.flatnonzero(~ok):

@@ -138,9 +138,21 @@ def _qubit_weights(condition, right: np.ndarray, c_norms: np.ndarray):
 
 
 def _spectral_values(w: np.ndarray, c: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """``|sum_j c_j exp(lambda_j t)|`` for ``w``, ``c`` of any shape ``(..., n)``:
-    one ``(..., T, n)`` exponential and one stacked matrix-vector product."""
-    return np.abs(np.exp(times[:, None] * w[..., None, :]) @ c[..., None])[..., 0]
+    """``|sum_j c_j exp(lambda_j t)|`` for ``w``, ``c`` of shape ``(n,)`` or
+    ``(R, n)``: per block of rows, one ``(rows, T, n)`` exponential and one
+    stacked matrix-vector product.  A stack goes through in blocks of
+    ``spectral._BLOCK // (T n)`` rows (one at least), so the exponential
+    holds about ``spectral._BLOCK`` elements; a single generator is one block.
+    Each row is computed alone, so the blocking moves no bit."""
+    rows = max(1, spectral._BLOCK // max(1, times.size * w.shape[-1]))
+    if w.ndim == 1:
+        blocks = [Ellipsis]
+    else:
+        blocks = [slice(i, i + rows) for i in range(0, w.shape[0], rows)]
+    out = np.empty(w.shape[:-1] + times.shape)
+    for b in blocks:
+        out[b] = np.abs(np.exp(times[:, None] * w[b][..., None, :]) @ c[b][..., None])[..., 0]
+    return out
 
 
 def _spectral_batch(L: np.ndarray, times: np.ndarray):
@@ -151,9 +163,11 @@ def _spectral_batch(L: np.ndarray, times: np.ndarray):
     condition and mode order of ``spectral._modes`` (a degenerate eigenspace
     is c-orthogonalized within its own row), then the reliability test of
     ``_qubit_weights`` and the checks of ``CoherenceTrace``, each with a
-    leading batch axis.  Where ``ok``, a row is bit for bit the trace that
-    ``coherence_trace`` returns for that generator; any other row must be
-    evaluated one generator at a time.  Raises ``np.linalg.LinAlgError`` when
+    leading batch axis; ``_spectral_values`` evaluates the traces in blocks
+    of rows whose exponential stays within ``spectral._BLOCK`` elements.
+    Where ``ok``, a row is bit for bit the trace that ``coherence_trace``
+    returns for that generator; any other row must be evaluated one
+    generator at a time.  Raises ``np.linalg.LinAlgError`` when
     the stacked solve fails.
     """
     w, vr, c_norms, condition = spectral._modes(L)

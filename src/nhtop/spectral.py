@@ -34,7 +34,8 @@ DEGENERACY_CONDITION = 1e10
 # largest accepted |(R^T R)_jk / (R^T R)_jj|, j != k: the 1e-12 budget within
 # which the qubit weights must sum to 1 for the spectral route
 _PAIRING_TOL = 1e-12
-# elements per temporary of the batched localization fits (as per disorder chunk)
+# elements per temporary of a stacked pass: a block of the batched localization
+# fits or of the stacked trace exponential, a disorder chunk's generators
 _BLOCK = 2**14
 # a localization fit runs through the sites whose |psi|^2 exceeds this share of the peak
 _SUPPORT_FLOOR = 1e-14

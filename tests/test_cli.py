@@ -259,6 +259,7 @@ def test_memory_error_in_an_ensemble_worker_exits_two(tmp_path, monkeypatch, cap
 
     monkeypatch.setattr(nhtop.disorder, "_workers", lambda: 2)
     monkeypatch.setattr(nhtop.disorder, "_chunk_values", second_chunk_out_of_memory)
+    monkeypatch.setattr(nhtop.disorder, "_chunk_rows", lambda n, n_times: 10)
     out = tmp_path / "dis.csv"
     assert nhtop.disorder._chunk_rows(3, 400) < 40
     assert main(["disorder", "--model", "ssh", "--N", "3", "--n-realizations", "40",

@@ -161,6 +161,33 @@ class TestEnsemble:
         with pytest.raises(ValueError):
             _cfg(0.1, site_mask=(True,) * 3)
 
+    @pytest.mark.parametrize("field", ["N", "n_realizations"])
+    @pytest.mark.parametrize("value", [7.0, True, np.float64(7.0), "7", None],
+                             ids=["float", "bool", "numpy-float", "str", "None"])
+    def test_non_integral_size_or_count_is_rejected(self, field, value):
+        fields = dict(model="ssh", N=7, params=SSH_PARAMS, mu=0.1, n_realizations=7,
+                      base_seed=99, times=np.array([0.0, 1.0]))
+        fields[field] = value
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            disorder.DisorderConfig(**fields)
+
+    def test_numpy_integers_are_accepted(self):
+        cfg = disorder.DisorderConfig(model="ssh", N=np.int64(7), params=SSH_PARAMS, mu=0.1,
+                                      n_realizations=np.int32(5), base_seed=99,
+                                      times=np.array([0.0, 1.0]))
+        assert disorder.run_ensemble(cfg).n_ok == 5
+
+
+@pytest.mark.parametrize("n, n_times", [(2, 21), (3, 400), (7, 200), (30, 40), (30, 200),
+                                        (128, 200), (129, 5), (7, 2**14 + 1), (400, 400)])
+def test_chunk_rows_keep_both_stacks_within_the_budget(n, n_times):
+    rows = disorder._chunk_rows(n, n_times)
+    assert rows >= 1
+    if rows > 1:
+        assert rows * n * n <= spectral._BLOCK and rows * n_times <= spectral._BLOCK
+        # one more row would break the budget
+        assert (rows + 1) * max(n * n, n_times) > spectral._BLOCK
+
 
 def test_config_leaves_caller_time_grid_writeable():
     grid = np.array([0.0, 50.0])
@@ -282,12 +309,13 @@ class TestWorkers:
     bit-identical for any worker count."""
 
     @pytest.mark.parametrize("cfg, step", [
+        # chunks of 8 and 7 rows, the last one short
         (_cfg(0.8, n_real=30, times=dynamics.log_time_grid(100.0, 200),
               site_mask=(True, False, True, True, False, False, True), store_realizations=True),
-         None),
+         8),
         (disorder.DisorderConfig("three-site", 30, THREE_SITE_PARAMS, 0.35, 30, 11,
                                  dynamics.log_time_grid(100.0, 40), store_realizations=True),
-         None),
+         7),
         # every row falls back to the expm route inside its worker; four rows
         # a chunk keep the slow route's rows few
         (disorder.DisorderConfig("impurity", 2, EP_PARAMS, 1e-6, 12, 5,
@@ -338,6 +366,7 @@ class TestWorkers:
         _ensemble_under(4, _cfg(0.4, n_real=5), monkeypatch)  # one chunk
         assert running == [before]
         running.clear()
+        monkeypatch.setattr(disorder, "_chunk_rows", lambda n, n_times: 10)
         cfg = _cfg(0.4, n_real=40, times=dynamics.log_time_grid(100.0, 400))
         assert disorder._chunk_rows(7, 400) < 40 // 2
         _ensemble_under(2, cfg, monkeypatch)

@@ -134,6 +134,28 @@ class TestSpectralBatch:
         _, ok = dynamics._spectral_batch(np.array([self.H.generator] * 4), np.linspace(0.0, 2.0, 5))
         assert ok.tolist() == [False, False, False, True]
 
+    def test_row_blocks_keep_every_bit_and_the_exponential_within_budget(self, monkeypatch):
+        rng = np.random.default_rng(17)
+        R, n, t = 150, 7, np.linspace(0.0, 30.0, 50)
+        rows = spectral._BLOCK // (t.size * n)
+        assert R > 3 * rows  # four blocks, the last one short
+        w = -rng.uniform(0.0, 1.0, (R, n)) + 1j * rng.normal(size=(R, n))
+        c = rng.normal(size=(R, n)) + 1j * rng.normal(size=(R, n))
+        one_shot = np.abs(np.exp(t[:, None] * w[:, None, :]) @ c[..., None])[..., 0]
+        exp, sizes = np.exp, []
+        monkeypatch.setattr(np, "exp", lambda x: sizes.append(np.size(x)) or exp(x))
+        values = dynamics._spectral_values(w, c, t)
+        assert sizes == [rows * t.size * n] * 3 + [(R - 3 * rows) * t.size * n]
+        assert max(sizes) <= spectral._BLOCK
+        for i in range(R):
+            assert np.array_equal(values[i], one_shot[i])
+        # a single generator is one block, whatever its size
+        sizes.clear()
+        big = np.linspace(0.0, 30.0, spectral._BLOCK // n + 1)
+        assert np.array_equal(dynamics._spectral_values(w[0], c[0], big),
+                              np.abs(exp(big[:, None] * w[0][None, :]) @ c[0][:, None])[:, 0])
+        assert sizes == [big.size * n]
+
     def test_star_rows_equal_coherence_trace(self):
         # a degenerate eigenspace is c-orthogonalized inside the batch
         t = np.linspace(0.0, 20.0, 41)
