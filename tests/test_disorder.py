@@ -309,7 +309,7 @@ class TestWorkers:
     bit-identical for any worker count."""
 
     @pytest.mark.parametrize("cfg, step", [
-        # chunks of 8 and 7 rows, the last one short
+        # explicit chunk sizes, each leaving a short last chunk
         (_cfg(0.8, n_real=30, times=dynamics.log_time_grid(100.0, 200),
               site_mask=(True, False, True, True, False, False, True), store_realizations=True),
          8),
