@@ -45,13 +45,10 @@ from .spectral import (
 )
 from .dynamics import (
     CoherenceTrace,
-    Timescales,
     coherence_trace,
     coherence_trace_superoperator,
-    expm_oracle,
     log_time_grid,
     strong_dissipative_rate,
-    timescales,
     weak_dissipative_spectrum,
 )
 from .topology import (

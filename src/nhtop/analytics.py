@@ -41,10 +41,6 @@ class ImpurityPrediction:
     zeta: float
     tau: float
 
-    @property
-    def h_convention(self) -> dict:
-        return {"lambda_plus": 1j * self.lambda_plus, "lambda_minus": 1j * self.lambda_minus}
-
 
 def impurity_prediction(J: float, kappa: float, Gamma: float) -> ImpurityPrediction:
     """Closed-form localized eigenvalues lambda_pm = -4 kappa^2 / (Gamma pm s)
@@ -239,13 +235,14 @@ def ssh_odd_dark_state(N: int, J1: float, J2: float):
 def ssh_odd_asymptotic_coherence(N: int, J1: float, J2: float) -> float:
     """Long-time coherence plateau of the odd chain.
 
-    ``J2^{N-1} (J2^2 - J1^2) / (J2^{N+1} - J1^{N+1})`` for J1 != J2 and
+    ``J2^{N-1} (J2^2 - J1^2) / (J2^{N+1} - J1^{N+1})`` for |J1| != |J2| and
     ``2/(N+1)`` at the transition; equals the squared qubit amplitude of the
-    dark state for any bond ratio.
+    dark state for any bond ratio.  Every power is even (N is odd), so the
+    bond signs drop out.
     """
     if N < 3 or N % 2 == 0:
         raise ValueError("N must be odd and >= 3")
-    if J1 == J2:
+    if abs(J1) == abs(J2):
         return 2.0 / (N + 1)
     return float(J2 ** (N - 1) * (J2**2 - J1**2) / (J2 ** (N + 1) - J1 ** (N + 1)))
 
@@ -267,12 +264,6 @@ class SshEvenPrediction:
     tau_coh: float | None = None
     overlap: float | None = None
     e_y_first_order: float | None = None
-
-    @property
-    def h_convention(self) -> dict:
-        if not self.threshold_ok:
-            return {}
-        return {"lambda_plus": 1j * self.lambda_plus, "lambda_minus": 1j * self.lambda_minus}
 
 
 def _solve_edge_momentum(N: int, x: float, d: float) -> float:

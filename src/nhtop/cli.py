@@ -82,14 +82,18 @@ def _resolve_model(args, config: Mapping) -> tuple[str, int, dict]:
     params.update(config.get("params", {}))
     for flag, pname in _FLAG_TO_PARAM.items():
         value = getattr(args, flag, None)
-        if value is not None and pname in defaults:
-            params[pname] = value
+        if value is not None:
+            params[pname] = value  # a parameter of another model is named by model_params
     return model, n, netmodel.model_params(model, params)
 
 
 def _build_from_args(args) -> netmodel.EffectiveHamiltonian:
     config = _read_config(args)
     if config.get("model") == "custom":
+        given = [f"--{flag}" for flag in ("model", "N", *_FLAG_TO_PARAM)
+                 if getattr(args, flag) is not None]
+        if given:
+            raise SpecificationError(f"{', '.join(given)} do not apply to a custom network")
         return netmodel.parse_network_json(config)
     return netmodel.build_model(*_resolve_model(args, config))
 

@@ -118,7 +118,7 @@ class DisorderConfig:
     def __post_init__(self):
         if not (math.isfinite(self.mu) and self.mu >= 0):
             raise ValueError("mu must be finite and >= 0")
-        for name in ("N", "n_realizations"):
+        for name in ("N", "n_realizations", "base_seed"):
             if not netmodel._is_number(getattr(self, name), integer=True):
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.n_realizations < 1:

@@ -1,4 +1,4 @@
-"""Coherence time evolution and decay timescales.
+"""Coherence time evolution and its perturbative limits.
 
 The monitored quantity is ``C(t) = |<1| exp(t L) |1>|`` with ``L = -iH``,
 twice the modulus of the qubit's off-diagonal density-matrix element for a
@@ -7,8 +7,7 @@ are provided: the spectral expansion (default), and two oracles that never
 touch the spectral path, both stepped by one truncated-Taylor propagator
 (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)): the ``"expm"``
 route on ``L`` itself and propagation of the full single-excitation
-superoperator.  Only ``expm_oracle`` forms a matrix exponential, by scipy's
-Pade scaling-and-squaring, as the reference the stepper is tested against.
+superoperator.  No route forms a matrix exponential.
 """
 
 from __future__ import annotations
@@ -27,12 +26,6 @@ METHODS = ("spectral", "expm", "full_superoperator")
 #: spectral -> expm fallback threshold on ``SpectralData.condition``, the
 #: largest eigenvalue condition number ``max_j 1/|r_j^T r_j|`` (unit ``r_j``)
 CONDITION_FALLBACK = 1e8
-
-#: weights smaller than this never contribute to C(t) and are dropped from
-#: the min/max timescales (the linearized one keeps the full sum)
-WEIGHT_CUTOFF = 1e-14
-
-DEFAULT_EPSILON = 0.05
 
 #: first time of the default log-spaced grid (``log_time_grid``)
 LOG_GRID_START = 1e-2
@@ -125,8 +118,7 @@ def _qubit_weights(condition, right: np.ndarray, c_norms: np.ndarray):
     sorted decompositions (``right``, ``c_norms`` of shapes ``(..., n, n)``,
     ``(..., n)``) and whether the spectral route is reliable for each:
     ``condition`` (shape ``(...)``) is below ``CONDITION_FALLBACK``, which
-    NaN, inf and every condition ``spectral.DEGENERACY_CONDITION`` flags are
-    not, the weights sum to 1 within 1e-12 (completeness at
+    NaN and inf are not, the weights sum to 1 within 1e-12 (completeness at
     the qubit site keeps C(0) = 1 within the trace type's own tolerance), and
     the mode sum's rounding bound ``eps * sum_j |c_j|``, which grows near
     exceptional points, stays below 1e-12."""
@@ -272,68 +264,6 @@ def coherence_trace_superoperator(sop: Superoperator, times) -> CoherenceTrace:
     t = _checked_times(times)
     values = _propagate(sop.matrix, t, sop.index_01(1))
     return CoherenceTrace(t, values, "full_superoperator")
-
-
-def expm_oracle(H: EffectiveHamiltonian, t: float) -> np.ndarray:
-    """exp(t L) by scaling-and-squaring (Pade), independent of the spectral path
-    and of the Taylor stepper behind the "expm" and superoperator routes: the
-    tests' reference, and the one use of scipy (installed by the ``test`` extra)."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    import scipy.linalg
-
-    out = scipy.linalg.expm(H.generator * t)
-    if not np.all(np.isfinite(out)):
-        raise NumericError("matrix exponential overflowed")
-    return out
-
-
-@dataclass(frozen=True)
-class Timescales:
-    """Shortest / longest mode lifetimes and the linearized coherence time."""
-
-    tau_min: float
-    tau_max: float
-    tau_lin: float
-    epsilon: float
-
-    def __post_init__(self):
-        if self.tau_min > self.tau_max:
-            raise ValueError("tau_min must not exceed tau_max")
-
-
-def timescales(eigenvalues, weights, epsilon: float = DEFAULT_EPSILON) -> Timescales:
-    """Decay timescales of C(t) = |sum_j c_j exp(lambda_j t)|.
-
-    ``tau_min`` is the fastest and ``tau_max`` the slowest mode lifetime,
-    restricted to modes whose weight exceeds ``WEIGHT_CUTOFF`` (zero-weight
-    modes never appear in C).  ``tau_lin = epsilon / Re(-sum_j c_j lambda_j)``
-    linearizes the initial decay; for the canonical models the weighted sum is
-    the qubit's own diagonal entry, which vanishes, so tau_lin is infinite
-    there and only becomes informative with on-site disorder.
-    A dark mode (zero decay rate) makes tau_max infinite.
-    """
-    lam = np.asarray(eigenvalues, dtype=complex).ravel()
-    c = np.asarray(weights, dtype=complex).ravel()
-    if lam.shape != c.shape:
-        raise ValueError("eigenvalues and weights must have equal length")
-    if not 0 < epsilon < 1:
-        raise ValueError("epsilon must lie in (0, 1)")
-    keep = np.abs(c) >= WEIGHT_CUTOFF
-    if not np.any(keep):
-        raise ValueError("all weights vanish; no coherence dynamics to time")
-    decay = -lam[keep].real
-    scale = max(1.0, float(np.max(np.abs(lam))))
-    dark_floor = 1e-14 * scale
-
-    fastest = float(np.max(decay))
-    slowest = float(np.min(decay))
-    tau_min = 1.0 / fastest if fastest > dark_floor else math.inf
-    tau_max = 1.0 / slowest if slowest > dark_floor else math.inf
-
-    drift = float(np.real(-np.sum(c * lam)))
-    tau_lin = epsilon / drift if drift > dark_floor else math.inf
-    return Timescales(tau_min, tau_max, tau_lin, epsilon)
 
 
 def strong_dissipative_rate(J1: float, Gamma2: float) -> float:

@@ -246,15 +246,9 @@ class Superoperator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def index_00(self) -> int:
-        return 0
-
     def index_01(self, j: int) -> int:
         """Index of |0><j|, 1-based j."""
         return j
-
-    def index_11(self, i: int, j: int) -> int:
-        return 2 * self.n_sites + (i - 1) * self.n_sites + j
 
 
 def superoperator_from_hamiltonian(H: EffectiveHamiltonian) -> Superoperator:

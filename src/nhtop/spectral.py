@@ -30,7 +30,6 @@ import numpy as np
 from .errors import NumericError
 from .netmodel import EffectiveHamiltonian
 
-DEGENERACY_CONDITION = 1e10
 # largest accepted |(R^T R)_jk / (R^T R)_jj|, j != k: the 1e-12 budget within
 # which the qubit weights must sum to 1 for the spectral route
 _PAIRING_TOL = 1e-12
@@ -49,13 +48,13 @@ class SpectralData:
     """Eigenvalues of L = -iH with c-orthogonal unit right eigenvectors.
 
     Columns of ``right_vectors`` are unit r_j with ``r_j^T r_k = 0`` for
-    ``j != k``, and ``c_norms`` holds ``r_j^T r_j``; ``left_vectors`` derives
-    the l_j with ``l_j^dag r_j = 1`` from them.  Modes are sorted by decay
-    rate ``-Re(lambda)`` ascending.  ``condition`` is the largest eigenvalue
-    condition number ``kappa_j = 1/|c_norms_j|`` (not that of the eigenvector
-    matrix); above ``DEGENERACY_CONDITION`` it flags a near-defective
-    (exceptional) point and sets ``degenerate_warning``.  The arrays are
-    read-only: ``decompose`` hands one instance to every caller of one ``H``.
+    ``j != k``, and ``c_norms`` holds ``r_j^T r_j``; the left eigenvectors
+    with ``l_j^dag r_j = 1`` are ``l_j = conj(r_j) / conj(c_norms_j)``.  Modes
+    are sorted by decay rate ``-Re(lambda)`` ascending.  ``condition`` is the
+    largest eigenvalue condition number ``kappa_j = 1/|c_norms_j|`` (not that
+    of the eigenvector matrix); it grows without bound towards an exceptional
+    point, where it is non-finite.  The arrays are read-only: ``decompose``
+    hands one instance to every caller of one ``H``.
     """
 
     eigenvalues: np.ndarray
@@ -70,15 +69,6 @@ class SpectralData:
     @property
     def decay_rates(self) -> np.ndarray:
         return -np.real(self.eigenvalues)
-
-    @property
-    def left_vectors(self) -> np.ndarray:
-        """Left eigenvectors ``l_j = conj(r_j) / conj(r_j^T r_j)``, as columns."""
-        return np.conj(self.right_vectors) / np.conj(self.c_norms)
-
-    @property
-    def degenerate_warning(self) -> bool:
-        return bool(not np.isfinite(self.condition) or self.condition > DEGENERACY_CONDITION)
 
 
 def decompose(H: EffectiveHamiltonian) -> SpectralData:

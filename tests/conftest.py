@@ -1,9 +1,11 @@
-"""Shared fixtures: random network generation and the acceptance report."""
+"""Shared fixtures: random network generation, the Pade reference and the
+acceptance report."""
 
 import numpy as np
 import pytest
 
 from nhtop import netmodel
+from nhtop.errors import NumericError
 
 _ACCEPTANCE: list[tuple[int, str, bool, str]] = []
 
@@ -64,3 +66,17 @@ def star_network(couplings, loss: float = 1.0, detuning: float = 0.0) -> netmode
     sites += (netmodel.SiteSpec(netmodel.CAVITY, detuning, loss),) * len(couplings)
     edges = tuple((1, j + 2, g) for j, g in enumerate(couplings))
     return netmodel.NetworkSpec(sites, edges)
+
+
+def expm_oracle(H: netmodel.EffectiveHamiltonian, t: float) -> np.ndarray:
+    """exp(t L) by scaling-and-squaring (Pade), independent of the spectral path
+    and of the Taylor stepper behind the "expm" and superoperator routes: the
+    tests' reference, and the one use of scipy (installed by the ``test`` extra)."""
+    if t < 0:
+        raise ValueError("t must be >= 0")
+    import scipy.linalg
+
+    out = scipy.linalg.expm(H.generator * t)
+    if not np.all(np.isfinite(out)):
+        raise NumericError("matrix exponential overflowed")
+    return out

@@ -47,10 +47,6 @@ class TestImpurityPrediction:
         k_loc = max(roots, key=lambda k: k.imag)
         assert p.zeta == pytest.approx(1.0 / k_loc.imag, rel=1e-6)
 
-    def test_h_convention_attachment(self):
-        p = analytics.impurity_prediction(1.0, 0.5, 4.0)
-        assert p.h_convention["lambda_plus"] == pytest.approx(1j * p.lambda_plus)
-
     def test_closed_form_tracks_dense_spectrum(self):
         # sweep: the plus mode sits within 10 e^{-N/zeta} of a true eigenvalue
         N = 24
@@ -154,9 +150,12 @@ class TestOddChainPlateau:
         assert tr.values[0] == pytest.approx(3.0 / 255.0, abs=1e-3)
 
     def test_equal_bond_plateau_matches_dynamics(self):
-        H = netmodel.build_ssh_model(5, 1.3, 1.3, 0.5)
-        tr = dynamics.coherence_trace(H, np.array([100.0]))
-        assert tr.values[0] == pytest.approx(1.0 / 3.0, abs=1e-3)
+        # |J1| = |J2| is the transition whatever the bond signs
+        for J1, J2 in [(1.3, 1.3), (-1.3, 1.3), (1.3, -1.3)]:
+            H = netmodel.build_ssh_model(5, J1, J2, 0.5)
+            tr = dynamics.coherence_trace(H, np.array([100.0]))
+            assert tr.values[0] == pytest.approx(1.0 / 3.0, abs=1e-3)
+            assert analytics.ssh_odd_asymptotic_coherence(5, J1, J2) == pytest.approx(1.0 / 3.0)
 
 
 class TestEvenChainPrediction:
@@ -191,7 +190,6 @@ class TestEvenChainPrediction:
         p = analytics.ssh_even_prediction(10, 1.0, 1.8, 0.5)
         assert p.lambda_plus.real == pytest.approx(-1.0 / p.tau_coh)
         assert p.lambda_minus.real == pytest.approx(-0.5 + 1.0 / p.tau_coh)
-        assert p.h_convention["lambda_plus"] == pytest.approx(1j * p.lambda_plus)
 
 
 class TestDarkSectorPrediction:

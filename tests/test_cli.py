@@ -162,26 +162,6 @@ def test_coherence_expm_method(tmp_path):
     assert len(rows) == 8
 
 
-@pytest.mark.parametrize("code, loaded", [
-    ("import nhtop", False),
-    ("import nhtop.cli; nhtop.cli.main(['model', '--out', os.devnull])", False),
-    ("import nhtop.cli; nhtop.cli.main(['spectrum', '--out', os.devnull])", False),
-    ("import nhtop.cli; nhtop.cli.main(['disorder', '--out', os.devnull])", False),
-    ("import nhtop.cli; nhtop.cli.main(['coherence', '--method', 'expm', '--out', os.devnull])",
-     False),
-    ("import nhtop.cli; nhtop.cli.main(['coherence', '--method', 'full', '--N', '4', "
-     "'--out', os.devnull])", False),
-    ("import nhtop; nhtop.expm_oracle(nhtop.build_ssh_model(3, 1.0, 1.8, 0.5), 1.0)", True),
-])
-def test_scipy_linalg_loads_on_first_use(code, loaded):
-    src = str(Path(nhtop.__file__).resolve().parents[1])
-    probe = f"import os, sys; {code}; print('scipy.linalg' in sys.modules)"
-    run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                         env=dict(os.environ, PYTHONPATH=src), timeout=120)
-    assert run.returncode == 0, run.stderr
-    assert run.stdout.split() == [str(loaded)]
-
-
 def test_linear_time_grid_starts_at_zero(tmp_path):
     out = tmp_path / "c.csv"
     assert main(["coherence", "--model", "ssh", "--N", "3", "--no-log-time",
@@ -309,6 +289,27 @@ def test_missing_custom_key_is_named(tmp_path, capsys, custom, message):
     assert f"configuration error: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["spectrum", "disorder"])
+def test_parameter_flag_of_another_model_exits_two(tmp_path, capsys, command):
+    argv = [command, "--model", "ssh", "--N", "4", "--kappa", "0.3"]
+    assert main(argv + ["--out", str(tmp_path / "o.csv")]) == 2
+    assert "configuration error: unknown parameters for ssh: ['kappa']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--model", "ssh"], "--model"),
+    (["--N", "9"], "--N"),
+    (["--J2", "5"], "--J2"),
+    (["--model", "ssh", "--N", "9", "--J2", "5"], "--model, --N, --J2"),
+])
+def test_model_flags_next_to_a_custom_config_exit_two(tmp_path, capsys, flags, named):
+    cfg = Path(__file__).parent / "golden" / "custom_network.json"
+    argv = ["spectrum", "--config", str(cfg), *flags, "--out", str(tmp_path / "o.csv")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"configuration error: {named} do not apply to a custom network" in err
+
+
 def test_gnuplot_header_flag(tmp_path):
     out = tmp_path / "g.csv"
     assert main(["coherence", "--model", "ssh", "--N", "3", "--t-points", "4",
@@ -377,6 +378,29 @@ def test_write_csv_layout():
     assert buf.getvalue() == ("# first\n# second\nn,x,y\n"
                               "1,0.10000000000000001,inf\n"
                               "20,-2.5,0.33333333333333331\n")
+
+
+def test_package_imports_only_stdlib_and_numpy():
+    # pyproject's one dependency is numpy: every import, lazy or not, names
+    # the standard library, numpy or nhtop itself (relative imports)
+    package = Path(nhtop.__file__).resolve().parent
+    allowed = set(sys.stdlib_module_names) | {"numpy", "nhtop"}
+    imported, offenders = set(), []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.partition(".")[0]
+                imported.add(top)
+                if top not in allowed:
+                    offenders.append(f"{path.name}:{node.lineno} {name}")
+    assert offenders == []
+    assert "numpy" in imported
 
 
 def test_only_the_cli_writes():

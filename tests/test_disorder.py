@@ -161,9 +161,9 @@ class TestEnsemble:
         with pytest.raises(ValueError):
             _cfg(0.1, site_mask=(True,) * 3)
 
-    @pytest.mark.parametrize("field", ["N", "n_realizations"])
-    @pytest.mark.parametrize("value", [7.0, True, np.float64(7.0), "7", None],
-                             ids=["float", "bool", "numpy-float", "str", "None"])
+    @pytest.mark.parametrize("field", ["N", "n_realizations", "base_seed"])
+    @pytest.mark.parametrize("value", [7.0, 1.5, True, np.float64(7.0), "7", None],
+                             ids=["float", "fraction", "bool", "numpy-float", "str", "None"])
     def test_non_integral_size_or_count_is_rejected(self, field, value):
         fields = dict(model="ssh", N=7, params=SSH_PARAMS, mu=0.1, n_realizations=7,
                       base_seed=99, times=np.array([0.0, 1.0]))

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +6,7 @@ from nhtop import dynamics, netmodel, spectral
 from nhtop.cli import main
 from nhtop.analytics import dark_sector_prediction, ssh_odd_asymptotic_coherence
 from nhtop.errors import NumericError
-from conftest import random_network, star_network
+from conftest import expm_oracle, random_network, star_network
 
 
 class TestCoherenceTrace:
@@ -200,7 +198,7 @@ class TestSuperoperatorTrace:
 
 def _pade_values(H, times):
     """The per-point reference: |exp(t L)_11| from scipy's Pade expm."""
-    return np.array([abs(dynamics.expm_oracle(H, t)[0, 0]) for t in times])
+    return np.array([abs(expm_oracle(H, t)[0, 0]) for t in times])
 
 
 class TestTaylorPropagator:
@@ -247,11 +245,11 @@ class TestTaylorPropagator:
 class TestExpmOracle:
     def test_zero_time_is_identity(self):
         H = netmodel.build_ssh_model(5, 1.0, 1.8, 0.5)
-        assert np.allclose(dynamics.expm_oracle(H, 0.0), np.eye(5), atol=1e-15)
+        assert np.allclose(expm_oracle(H, 0.0), np.eye(5), atol=1e-15)
 
     def test_diagonal_generator(self):
         H = netmodel.EffectiveHamiltonian(np.diag([0.4, -0.2 - 3j]))
-        got = dynamics.expm_oracle(H, 2.0)
+        got = expm_oracle(H, 2.0)
         want = np.diag(np.exp(2.0 * (-1j) * np.array([0.4, -0.2 - 3j])))
         assert np.allclose(got, want, atol=1e-13)
 
@@ -259,45 +257,14 @@ class TestExpmOracle:
     def test_agrees_with_spectral_reconstruction(self, t):
         H = netmodel.build_ssh_model(6, 1.0, 1.8, 0.5)
         sd = spectral.decompose(H)
-        rebuilt = (sd.right_vectors * np.exp(t * sd.eigenvalues)[None, :]) @ sd.left_vectors.conj().T
-        assert np.max(np.abs(rebuilt - dynamics.expm_oracle(H, t))) < 1e-10
+        left = np.conj(sd.right_vectors) / np.conj(sd.c_norms)
+        rebuilt = (sd.right_vectors * np.exp(t * sd.eigenvalues)[None, :]) @ left.conj().T
+        assert np.max(np.abs(rebuilt - expm_oracle(H, t))) < 1e-10
 
     def test_negative_time_rejected(self):
         H = netmodel.build_ssh_model(4, 1.0, 1.8, 0.5)
         with pytest.raises(ValueError):
-            dynamics.expm_oracle(H, -1.0)
-
-
-class TestTimescales:
-    def test_single_mode(self):
-        ts = dynamics.timescales([-0.1], [1.0], epsilon=0.05)
-        assert ts.tau_min == ts.tau_max == pytest.approx(10.0)
-        assert ts.tau_lin == pytest.approx(0.5)
-
-    def test_dark_mode_gives_infinite_tau_max(self):
-        ts = dynamics.timescales([0.0 - 1j, -0.5], [0.6, 0.4], epsilon=0.05)
-        assert math.isinf(ts.tau_max)
-
-    def test_impurity_values_from_decomposition(self):
-        # the qubit has no self-energy, so the weighted eigenvalue sum is the
-        # (zero) diagonal entry and the linearized time diverges; the fast
-        # bulk modes keep finite weight, so tau_min is the bulk lifetime
-        H = netmodel.build_impurity_model(4, 1.0, 0.2, 4.0)
-        sd = spectral.decompose(H)
-        c = spectral.overlap_weights(sd, 1)
-        ts = dynamics.timescales(sd.eigenvalues, c, epsilon=0.05)
-        assert ts.tau_max == pytest.approx(60.0, rel=0.01)
-        assert ts.tau_min == pytest.approx(1.0 / np.max(sd.decay_rates), rel=1e-9)
-        assert math.isinf(ts.tau_lin)
-        # restricted to the dominant mode all three timescales coincide
-        keep = np.abs(c) > 0.5
-        ts1 = dynamics.timescales(sd.eigenvalues[keep], c[keep], epsilon=0.05)
-        assert ts1.tau_min == pytest.approx(ts1.tau_max)
-        assert ts1.tau_lin / 0.05 == pytest.approx(ts1.tau_min, rel=0.01)
-
-    def test_zero_weights_rejected(self):
-        with pytest.raises(ValueError):
-            dynamics.timescales([-0.1, -0.2], [0.0, 0.0])
+            expm_oracle(H, -1.0)
 
 
 class TestPerturbativeLimits:

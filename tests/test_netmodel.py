@@ -212,11 +212,7 @@ class TestFullSuperoperator:
         assert np.max(np.abs(block - self.H.generator)) < 1e-14
 
     def test_trace_functional_annihilated(self):
-        n = self.spec.size
-        tr = np.zeros(self.sop.dim)
-        tr[self.sop.index_00()] = 1.0
-        for j in range(1, n + 1):
-            tr[self.sop.index_11(j, j)] = 1.0
+        tr = _trace_functional(self.spec.size)
         assert np.max(np.abs(tr @ self.sop.matrix)) < 1e-14
 
     def test_spectrum_inclusion(self):
@@ -224,6 +220,16 @@ class TestFullSuperoperator:
         w_full = np.linalg.eigvals(self.sop.matrix)
         for lam in w_red:
             assert np.min(np.abs(w_full - lam)) < 1e-10
+
+
+def _trace_functional(n):
+    """The trace as a row vector in the ``Superoperator`` basis order: 1 at
+    |0><0| (index 0) and at each |j><j|, the populations following the 2n
+    coherences in row-major order (|i><j| at ``2n + (i-1)n + j``)."""
+    tr = np.zeros((n + 1) ** 2)
+    tr[0] = 1.0
+    tr[2 * n + (np.arange(n) * n + np.arange(1, n + 1))] = 1.0
+    return tr
 
 
 def _block_mask(n):
@@ -246,10 +252,7 @@ def test_block_structure_is_exact(seed):
     outside = sop.matrix[~_block_mask(spec.size)]
     assert np.all(outside == 0)
     # trace preservation: the trace functional annihilates the generator
-    tr = np.zeros(sop.dim)
-    tr[sop.index_00()] = 1.0
-    for j in range(1, spec.size + 1):
-        tr[sop.index_11(j, j)] = 1.0
+    tr = _trace_functional(spec.size)
     assert np.max(np.abs(tr @ sop.matrix)) < 1e-12
 
 
