@@ -25,7 +25,6 @@ from .netmodel import (
     Superoperator,
     apply_detuning_disorder,
     build_effective_hamiltonian,
-    build_full_superoperator,
     build_impurity_model,
     build_model,
     build_ssh_model,

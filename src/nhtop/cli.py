@@ -39,6 +39,8 @@ _FLAG_TO_PARAM = {
     "J": "J", "kappa": "kappa", "J1": "J1", "J2": "J2", "J3": "J3",
     "Jnn": "J", "eps1": "eps1", "eps2": "eps2", "gamma": "Gamma",
 }
+# the flags that set parameter ``J`` name different bonds, so each has one model
+_FLAG_MODEL = {"J": "impurity", "Jnn": "three-site"}
 
 
 def _add_model_flags(p: argparse.ArgumentParser, models=("impurity", "ssh", "three-site")):
@@ -82,8 +84,12 @@ def _resolve_model(args, config: Mapping) -> tuple[str, int, dict]:
     params.update(config.get("params", {}))
     for flag, pname in _FLAG_TO_PARAM.items():
         value = getattr(args, flag, None)
-        if value is not None:
-            params[pname] = value  # a parameter of another model is named by model_params
+        if value is None:
+            continue
+        if _FLAG_MODEL.get(flag, model) != model:
+            raise SpecificationError(
+                f"--{flag} is a parameter of the {_FLAG_MODEL[flag]} model, not of {model}")
+        params[pname] = value  # a parameter of another model is named by model_params
     return model, n, netmodel.model_params(model, params)
 
 

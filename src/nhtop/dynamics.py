@@ -301,15 +301,3 @@ def weak_dissipative_spectrum(H0, gammas) -> np.ndarray:
     e0, q = np.linalg.eigh(h0)
     rates = 0.5 * (np.abs(q.T) ** 2 @ g)
     return -1j * e0 - rates
-
-
-def fit_exponential_rate(times, values):
-    """Least-squares slope of -ln C(t) through the samples above 1e-300;
-    returns (rate, intercept)."""
-    t = np.asarray(times, dtype=float)
-    v = np.asarray(values, dtype=float)
-    mask = v > 1e-300
-    if np.count_nonzero(mask) < 2:
-        raise ValueError("not enough positive samples for a rate fit")
-    slope, intercept, _ = spectral._fit_log_linear(t[mask], v[mask])
-    return -float(slope), float(intercept)

@@ -288,11 +288,6 @@ def superoperator_from_hamiltonian(H: EffectiveHamiltonian) -> Superoperator:
     return Superoperator(L, n)
 
 
-def build_full_superoperator(spec: NetworkSpec) -> Superoperator:
-    """Full single-excitation superoperator for a network description."""
-    return superoperator_from_hamiltonian(build_effective_hamiltonian(spec))
-
-
 # ---------------------------------------------------------------------------
 # The canonical chains.  Each *_network function is the one statement of its
 # chain's sites, bonds and loss convention; every builder assembles H from it.

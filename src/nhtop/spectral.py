@@ -68,7 +68,8 @@ class SpectralData:
 
     @property
     def decay_rates(self) -> np.ndarray:
-        return -np.real(self.eigenvalues)
+        """``-Re lambda``, with an exact zero unsigned (``0.0 - x`` is never ``-0.0``)."""
+        return 0.0 - np.real(self.eigenvalues)
 
 
 def decompose(H: EffectiveHamiltonian) -> SpectralData:
@@ -374,8 +375,8 @@ def default_eps_dark(H: EffectiveHamiltonian) -> float:
 
 def find_quasi_dark_modes(sd: SpectralData, eps_dark: float) -> list[EdgeMode]:
     """All modes with decay rate below ``eps_dark``, slowest first."""
-    if eps_dark <= 0:
-        raise ValueError("eps_dark must be positive")
+    if not 0.0 < eps_dark < np.inf:  # NaN fails both comparisons
+        raise ValueError(f"eps_dark must be finite and positive; got {eps_dark!r}")
     c1 = np.abs(overlap_weights(sd, 1))
     dark = np.flatnonzero(sd.decay_rates < eps_dark)
     site, length, r2, delocalized = _localization(sd.right_vectors[:, dark])
@@ -401,9 +402,9 @@ def is_localized_at_qubit(mode: EdgeMode, cell_size: int = 1) -> bool:
 
 def spectrum_rows(sd: SpectralData):
     """Rows for the spectrum CSV: one entry per mode, slowest decay first.
-    A zero prints unsigned: ``x + 0.0`` and ``0.0 - x`` are never ``-0.0``."""
+    A zero prints unsigned: ``x + 0.0`` is never ``-0.0``."""
     lam = sd.eigenvalues
     site, length, _, _ = _localization(sd.right_vectors)
     return list(zip(range(sd.n), (lam.real + 0.0).tolist(), (lam.imag + 0.0).tolist(),
-                    (0.0 - lam.real).tolist(),
+                    sd.decay_rates.tolist(),
                     np.abs(overlap_weights(sd, 1)).tolist(), site.tolist(), length.tolist()))

@@ -1,16 +1,19 @@
 """Bloch matrices, winding numbers, and bulk-edge verification.
 
-For a periodic chain with one leaky site per unit cell, the winding of
-``det U(k)`` classifies the dissipative phases: ``U(k)`` diagonalizes the
-Hermitian block of the non-lossy sites and rotates the coupling vector to
-the lossy site real and positive.  ``W`` then predicts how many quasi-dark
-modes of the open chain localize at the qubit end.
+For a periodic chain with one leaky site per unit cell, the winding ``W`` of
+``det K(k)``, with ``K = [v, h v, ..., h^(n-1) v]`` the Krylov matrix of the
+non-lossy block ``h(k)`` and the coupling ``v(k)`` to the lossy site,
+classifies the dissipative phases.  In the eigenbasis ``q`` of ``h``,
+``det K = det q * prod_j (q_j^dagger v) * V(lambda)`` with ``V`` the positive
+Vandermonde of the ascending eigenvalues, so ``det K`` winds as the published
+gauge-fixed ``det U(k)`` does, with no diagonalization.  ``W`` then predicts
+how many quasi-dark modes of the open chain localize at the qubit end.
 
 A canonical chain's Bloch matrix is read off its two-cell open chain
 (``chain_bloch``), so the chain's bonds are stated only in its
 ``netmodel.*_network`` function; ``closed_form_winding`` dispatches to the
 published closed forms.  The numeric winding evaluates the whole k-grid in
-one evaluator call and takes every gauge phase from one stacked ``eigh``.
+one evaluator call, one stacked matrix-vector chain and one ``det``.
 The library writes nothing: the CLI formats the report as CSV.
 """
 
@@ -108,29 +111,29 @@ class WindingResult:
             raise ValueError("method must be 'numeric' or 'closed_form'")
 
 
-def _gauge_phases(mats: np.ndarray) -> np.ndarray:
-    """Unit-modulus det U(k) samples from the stacked Bloch matrices ``mats``.
+def _krylov_phases(mats: np.ndarray) -> np.ndarray:
+    """Unit-modulus ``det K(k)`` samples from the stacked Bloch matrices ``mats``.
 
-    One stacked ``eigh`` diagonalizes the non-lossy block ``h`` at every k; with
-    ``z_j = q_j^dagger v`` the overlap of eigenvector ``q_j`` with the coupling
-    ``v`` to the lossy site, ``det U = det q / |det q| * prod_j z_j / |z_j|``.
-    A vanishing ``z_j`` or a degenerate ``h`` leaves ``U`` undefined, but either
-    gives ``H(k)`` an eigenvector with a real eigenvalue (``(q_j, 0)``, or the
-    part of the degenerate eigenspace orthogonal to ``v``): a dark state, which
+    With ``h`` the non-lossy block, ``v`` the coupling to the lossy site and
+    ``n`` the number of non-lossy sites, ``K = [v, h v, ..., h^(n-1) v]``.  A
+    vanishing ``det K`` is a dark state (the Popov-Belevitch-Hautus test), which
     ``_check_no_dark_state`` has rejected already.
     """
     n = mats.shape[-1] - 1
     hs = mats[:, :n, :n]
-    vs = mats[:, :n, n]
 
     scale = max(1.0, float(np.max(np.abs(mats))))
     if np.max(np.abs(hs - np.conj(np.swapaxes(hs, 1, 2)))) > 1e-12 * scale:
         raise SpecificationError("non-lossy block must be Hermitian for all k")
 
-    q = np.linalg.eigh(hs)[1]
-    z = np.einsum("kij,ki->kj", np.conj(q), vs)
-    dq = np.linalg.det(q)
-    return dq / np.abs(dq) * np.prod(z / np.abs(z), axis=1)
+    # h - c I gives the same det K; taking out the mean diagonal spares the
+    # chain the cancellation of a common detuning against a near-degenerate h
+    hs = hs - np.trace(hs, axis1=1, axis2=2)[:, None, None] / n * np.eye(n)
+    krylov = [mats[:, :n, n:]]
+    for _ in range(n - 1):
+        krylov.append(hs @ krylov[-1])
+    d = np.linalg.det(np.concatenate(krylov, axis=-1))
+    return d / np.abs(d)
 
 
 def _check_no_dark_state(mats: np.ndarray):
@@ -143,7 +146,7 @@ def _check_no_dark_state(mats: np.ndarray):
 
 
 def winding_number_numeric(bloch: BlochHamiltonian, n_k: int = 256) -> WindingResult:
-    """Winding of det U(k) by phase accumulation over the Brillouin zone.
+    """Winding of det K(k) by phase accumulation over the Brillouin zone.
 
     ``n_k`` in [64, MAX_KPOINTS] is the first grid; it is doubled until every
     unwrapped phase step is below pi/2, and the total must land on an integer
@@ -156,7 +159,7 @@ def winding_number_numeric(bloch: BlochHamiltonian, n_k: int = 256) -> WindingRe
     while True:
         mats = bloch(np.linspace(0.0, 2 * math.pi, n_k, endpoint=False))
         _check_no_dark_state(mats)
-        u = _gauge_phases(mats)
+        u = _krylov_phases(mats)
         steps = np.angle(np.roll(u, -1) * np.conj(u))
         max_step = float(np.max(np.abs(steps)))
         if max_step < math.pi / 2:

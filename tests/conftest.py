@@ -4,7 +4,7 @@ acceptance report."""
 import numpy as np
 import pytest
 
-from nhtop import netmodel
+from nhtop import netmodel, spectral
 from nhtop.errors import NumericError
 
 _ACCEPTANCE: list[tuple[int, str, bool, str]] = []
@@ -80,3 +80,10 @@ def expm_oracle(H: netmodel.EffectiveHamiltonian, t: float) -> np.ndarray:
     if not np.all(np.isfinite(out)):
         raise NumericError("matrix exponential overflowed")
     return out
+
+
+def fitted_decay_rate(times: np.ndarray, values: np.ndarray) -> float:
+    """Least-squares rate of ``C(t) ~ exp(-rate t)`` through the samples above
+    1e-300, by the library's one log-linear fit."""
+    mask = values > 1e-300
+    return -float(spectral._fit_log_linear(times[mask], values[mask])[0])

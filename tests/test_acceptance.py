@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from nhtop import analytics, disorder, dynamics, netmodel, spectral, topology
-from conftest import random_network
+from conftest import fitted_decay_rate, random_network
 
 
 def test_criterion_1_benchmark_table(record_criterion):
@@ -87,7 +87,7 @@ def test_criterion_4_impurity_closed_form(record_criterion):
     for kappa, tau in ((0.2, 60.0), (0.5, 9.291502622129181)):
         H4 = netmodel.build_impurity_model(4, 1.0, kappa, 4.0)
         times = np.linspace(0.0, 3.0 * tau, 300)
-        fitted, _ = dynamics.fit_exponential_rate(times, dynamics.coherence_trace(H4, times).values)
+        fitted = fitted_decay_rate(times, dynamics.coherence_trace(H4, times).values)
         rel = abs(fitted - 1.0 / tau) * tau
         rate_ok = rate_ok and rel < 0.02
         details.append(f"kappa={kappa}: rate off {rel:.1%}")
@@ -123,7 +123,7 @@ def test_criterion_5_reduction_oracle(record_criterion):
     for _ in range(20):
         spec = random_network(rng, max_sites=6)
         H = netmodel.build_effective_hamiltonian(spec)
-        sop = netmodel.build_full_superoperator(spec)
+        sop = netmodel.superoperator_from_hamiltonian(H)
         full = dynamics.coherence_trace_superoperator(sop, times)
         # expm on the reduced generator isolates the reduction itself from
         # the spectral-route tolerance, which criterion 6 covers separately
@@ -252,7 +252,7 @@ def test_criterion_10_disorder_ensemble(record_criterion):
 def test_criterion_11_perturbative_limits(record_criterion):
     H = netmodel.build_impurity_model(2, 1.0, 1.0, 50.0)
     times = np.linspace(0.0, 75.0, 200)
-    fitted, _ = dynamics.fit_exponential_rate(times, dynamics.coherence_trace(H, times).values)
+    fitted = fitted_decay_rate(times, dynamics.coherence_trace(H, times).values)
     pred = dynamics.strong_dissipative_rate(1.0, 50.0)
     strong_rel = abs(fitted - pred) / pred
 

@@ -182,6 +182,22 @@ def test_scaling_command(tmp_path):
     assert all(r[3] == "1" for r in rows)
 
 
+def test_scaling_prints_no_negative_zero(capsys):
+    # N = 9 and 15 have exactly dark modes, whose rate -Re(+0.0) was -0.0
+    assert main(["scaling", "--model", "ssh"]) == 0
+    rows = [l.split(",") for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
+    assert [r[4] for r in rows[1:] if r[0] in ("9", "15")] == ["0", "0"]
+    assert not any(field == "-0" for row in rows for field in row)
+
+
+@pytest.mark.parametrize("eps", ["nan", "inf"])
+def test_scaling_rejects_non_finite_eps_dark(capsys, eps):
+    assert main(["scaling", "--model", "ssh", "--eps-dark", eps]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"eps_dark must be finite and positive; got {eps}" in captured.err
+
+
 def test_scaling_repeated_sizes_exit_two(capsys):
     assert main(["scaling", "--model", "ssh", "--Ns", "6,6,6,9"]) == 2
     captured = capsys.readouterr()
@@ -294,6 +310,29 @@ def test_parameter_flag_of_another_model_exits_two(tmp_path, capsys, command):
     argv = [command, "--model", "ssh", "--N", "4", "--kappa", "0.3"]
     assert main(argv + ["--out", str(tmp_path / "o.csv")]) == 2
     assert "configuration error: unknown parameters for ssh: ['kappa']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--model", "three-site", "--J", "5"],
+     "--J is a parameter of the impurity model, not of three-site"),
+    (["--model", "impurity", "--Jnn", "0.2"],
+     "--Jnn is a parameter of the three-site model, not of impurity"),
+    (["--model", "three-site", "--J", "5", "--Jnn", "0.2"],
+     "--J is a parameter of the impurity model, not of three-site"),
+], ids=["J-three-site", "Jnn-impurity", "both"])
+def test_bond_flag_of_another_model_exits_two(tmp_path, capsys, flags, message):
+    # --J (impurity hopping) and --Jnn (three-site 1-3 bond) both set parameter J
+    assert main(["model", *flags, "--out", str(tmp_path / "o.csv")]) == 2
+    assert f"configuration error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model, flag, bond", [
+    ("impurity", "--J", (2, 3)), ("three-site", "--Jnn", (1, 3))])
+def test_bond_flag_sets_its_own_model(tmp_path, model, flag, bond):
+    out = tmp_path / "m.csv"
+    assert main(["model", "--model", model, "--N", "3", flag, "0.25", "--out", str(out)]) == 0
+    _, rows = _read_csv(out)
+    assert [r[2] for r in rows if (int(r[0]), int(r[1])) == bond] == ["0.25"]
 
 
 @pytest.mark.parametrize("flags, named", [

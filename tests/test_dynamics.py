@@ -6,7 +6,7 @@ from nhtop import dynamics, netmodel, spectral
 from nhtop.cli import main
 from nhtop.analytics import dark_sector_prediction, ssh_odd_asymptotic_coherence
 from nhtop.errors import NumericError
-from conftest import expm_oracle, random_network, star_network
+from conftest import expm_oracle, fitted_decay_rate, random_network, star_network
 
 
 class TestCoherenceTrace:
@@ -20,7 +20,7 @@ class TestCoherenceTrace:
         H = netmodel.build_impurity_model(4, 1.0, 0.2, 4.0)
         times = np.linspace(0.0, 60.0, 200)
         tr = dynamics.coherence_trace(H, times)
-        rate, _ = dynamics.fit_exponential_rate(times, tr.values)
+        rate = fitted_decay_rate(times, tr.values)
         assert rate == pytest.approx(1 / 60.0, rel=0.02)
 
     def test_ssh_odd_plateau(self):
@@ -169,7 +169,7 @@ class TestSuperoperatorTrace:
     def test_matches_reduced_dynamics(self):
         spec = netmodel.ssh_network(5, 1.0, 1.8, 0.5)
         H = netmodel.build_effective_hamiltonian(spec)
-        sop = netmodel.build_full_superoperator(spec)
+        sop = netmodel.superoperator_from_hamiltonian(H)
         t = np.linspace(0, 50, 12)
         full = dynamics.coherence_trace_superoperator(sop, t)
         red = dynamics.coherence_trace(H, t)
@@ -191,7 +191,7 @@ class TestSuperoperatorTrace:
 
     @pytest.mark.parametrize("bad", [[0.0, np.nan, 1.0], [0.0, 1.0, np.inf]])
     def test_non_finite_times_rejected(self, bad):
-        sop = netmodel.build_full_superoperator(netmodel.ssh_network(3, 1.0, 1.8, 0.5))
+        sop = netmodel.superoperator_from_hamiltonian(netmodel.build_ssh_model(3, 1.0, 1.8, 0.5))
         with pytest.raises(ValueError, match="finite"):
             dynamics.coherence_trace_superoperator(sop, bad)
 
@@ -216,9 +216,10 @@ class TestTaylorPropagator:
                                       np.linspace(0.0, 100.0, 100)], ids=["log", "uniform"])
     def test_ssh_9_superoperator(self, grid):
         spec = netmodel.ssh_network(9, 1.0, 1.8, 0.5)
-        sop = netmodel.build_full_superoperator(spec)
+        H = netmodel.build_effective_hamiltonian(spec)
+        sop = netmodel.superoperator_from_hamiltonian(H)
         got = dynamics.coherence_trace_superoperator(sop, grid).values
-        want = _pade_values(netmodel.build_effective_hamiltonian(spec), grid)
+        want = _pade_values(H, grid)
         assert np.max(np.abs(got - want)) < 1e-12
 
     @pytest.mark.parametrize("gamma", [4.0, 4.0001])
@@ -279,7 +280,7 @@ class TestPerturbativeLimits:
             t_end = 3.0 * Gamma / (2 * J1**2)
             times = np.linspace(0, t_end, 120)
             tr = dynamics.coherence_trace(H, times)
-            rate, _ = dynamics.fit_exponential_rate(times, tr.values)
+            rate = fitted_decay_rate(times, tr.values)
             assert rate == pytest.approx(dynamics.strong_dissipative_rate(J1, Gamma), rel=0.05)
 
     def test_weak_dissipation_uniform_loss_relation(self):

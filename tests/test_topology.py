@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from nhtop import netmodel, topology
 from nhtop.cli import main
@@ -145,23 +146,46 @@ class TestNumericWinding:
         with pytest.raises(ValueError):
             topology.winding_number_numeric(topology.bloch_ssh(1.0, 1.8, 0.5), 32)
 
-    def test_gauge_phase_randomization_invariance(self, monkeypatch):
-        # multiplying the eigenbasis columns by arbitrary phases before the
-        # gauge fix must not move det U(k)
-        rng = np.random.default_rng(11)
-        mats = topology.bloch_three_site(1.0, 0.3, 2.0, 0.7, 0.0, 0.0, 0.5)(
-            np.linspace(0.0, 2 * np.pi, 16, endpoint=False))
-        u_ref = topology._gauge_phases(mats)
-        eigh = np.linalg.eigh
-        for _ in range(25):
-            phases = np.exp(1j * rng.uniform(0, 2 * np.pi, mats.shape[:1] + (2,)))
+    @staticmethod
+    def _gauge_phases(mats):
+        # the published gauge-fixed det U(k): eigh of the non-lossy block h,
+        # z_j = q_j^dagger v, det U = det q / |det q| * prod_j z_j / |z_j|
+        n = mats.shape[-1] - 1
+        q = np.linalg.eigh(mats[:, :n, :n])[1]
+        z = np.einsum("kij,ki->kj", np.conj(q), mats[:, :n, n])
+        dq = np.linalg.det(q)
+        return dq / np.abs(dq) * np.prod(z / np.abs(z), axis=1)
 
-            def rephased(h, p=phases):
-                w, q = eigh(h)
-                return w, q * p[:, None, :]
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_krylov_phases_equal_the_gauge_phases(self, data):
+        bond = st.floats(-2.0, 2.0)
+        gamma = st.floats(0.1, 3.0)
+        if data.draw(st.booleans(), label="ssh"):
+            bloch = topology.bloch_ssh(data.draw(bond), data.draw(bond), data.draw(gamma))
+        else:
+            bloch = topology.bloch_three_site(*(data.draw(bond) for _ in range(4)),
+                                              data.draw(st.floats(-1.5, 1.5)),
+                                              data.draw(st.floats(-1.5, 1.5)), data.draw(gamma))
+            m = data.draw(st.integers(-3, 3), label="relabeling")
+            if m:
+                bloch = self._relabeled(bloch, m)
+        mats = bloch(np.linspace(0.0, 2 * np.pi, 64, endpoint=False))
+        try:
+            topology._check_no_dark_state(mats)
+        except GapClosureError:
+            assume(False)
+        krylov = topology._krylov_phases(mats)
+        assert np.max(np.abs(krylov - self._gauge_phases(mats))) < 1e-12
 
-            monkeypatch.setattr(np.linalg, "eigh", rephased)
-            assert np.max(np.abs(topology._gauge_phases(mats) - u_ref)) < 1e-12
+    def test_krylov_phases_near_a_degenerate_block(self):
+        # a common detuning of 1.1 over a block split by 3e-5: without the
+        # mean-diagonal shift det K cancels to a 3e-11 phase error
+        bloch = topology.bloch_three_site(-1.45e-5, 0.288, 0.299, 0.473, 1.135, 1.135, 2.86)
+        mats = bloch(np.linspace(0.0, 2 * np.pi, 64, endpoint=False))
+        topology._check_no_dark_state(mats)
+        krylov = topology._krylov_phases(mats)
+        assert np.max(np.abs(krylov - self._gauge_phases(mats))) < 1e-12
 
     def test_basis_conjugation_invariance(self):
         # a k-independent diagonal-phase change of basis is a pure gauge
@@ -188,7 +212,7 @@ class TestNumericWinding:
     def test_k_dependent_block_relabeling_shifts_winding(self, m, w):
         # relabeling site 1 by one cell per winding m makes the non-lossy
         # block genuinely k-dependent and shifts W by exactly m; this drives
-        # the stacked diagonalization with a k-dependent block and a known answer
+        # the stacked Krylov chain with a k-dependent block and a known answer
         base = topology.bloch_three_site(1.0, 0.3, 2.0, 0.7, 0.0, 0.0, 0.5)
         assert topology.winding_number_numeric(self._relabeled(base, m)).W == w
 
