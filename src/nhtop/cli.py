@@ -8,6 +8,9 @@ and ``disorder`` a noise-averaged trace.  The library returns data and
 writes nothing; every table is formatted here by ``_write_csv``, the one
 statement of the CSV layout (``# `` comment lines, a header, values at 17
 significant digits), so identical invocations produce byte-identical files.
+A call pays for the import of only the modules its command runs: this
+module loads ``netmodel`` and ``errors``, and each ``cmd_*`` imports the
+rest it calls (``model`` none; ``disorder`` spectral, dynamics and disorder).
 Exit codes: 0 success, 1 stdout closed early (as by
 ``| head``, without a message), 2 configuration error (including a request
 too large for memory), 3 numerical failure.
@@ -18,14 +21,14 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import json
+import math
 import os
 import sys
 from typing import Mapping
 
 import numpy as np
 
-from . import analytics, disorder, dynamics, netmodel, spectral, topology
+from . import netmodel
 from .errors import NumericError, PhaseBoundaryError, SpecificationError
 
 MODEL_DEFAULTS = {
@@ -68,6 +71,8 @@ def _read_config(args) -> Mapping:
     """The checked ``--config`` document (empty without one); the file is read once."""
     if args.config is None:
         return {}
+    import json
+
     with open(args.config, "r", encoding="utf-8") as fh:
         return netmodel.check_config(json.load(fh))
 
@@ -115,6 +120,12 @@ def _output(args):
 
 
 def _time_grid(args) -> np.ndarray:
+    from . import dynamics
+
+    if not math.isfinite(args.t_max):
+        raise SpecificationError(f"--t-max must be finite; got {args.t_max}")
+    if args.t_points < 1:
+        raise SpecificationError(f"--t-points must be at least 1; got {args.t_points}")
     if args.log_time:
         return dynamics.log_time_grid(args.t_max, args.t_points)
     return np.linspace(0.0, args.t_max, args.t_points)
@@ -145,6 +156,8 @@ def cmd_model(args) -> None:
 
 
 def cmd_spectrum(args) -> None:
+    from . import spectral
+
     sd = spectral.decompose(_build_from_args(args))
     columns = ("index", "re_lambda", "im_lambda", "decay_rate", "overlap_site1",
                "localization_site", "localization_length")
@@ -153,6 +166,8 @@ def cmd_spectrum(args) -> None:
 
 
 def cmd_coherence(args) -> None:
+    from . import dynamics
+
     H = _build_from_args(args)
     times = _time_grid(args)
     if args.method == "full":
@@ -166,6 +181,8 @@ def cmd_coherence(args) -> None:
 
 
 def cmd_winding(args) -> None:
+    from . import topology
+
     model, _, params = _resolve_model(args, _read_config(args))
     bloch = topology.chain_bloch(model, params)  # validated whichever method runs
     results = []
@@ -180,7 +197,11 @@ def cmd_winding(args) -> None:
 
 
 def cmd_table1(args) -> None:
+    from . import analytics
+
     n_list = [int(s) for s in args.N_list.split(",") if s]
+    if not n_list:
+        raise SpecificationError(f"--N-list names no system size; got {args.N_list!r}")
     rows = analytics.table1(args.J1_v, args.J2_v, args.gamma_v, n_list)
     columns = [f.name for f in dataclasses.fields(analytics.Table1Row)]
     with _output(args) as stream:
@@ -188,6 +209,8 @@ def cmd_table1(args) -> None:
 
 
 def cmd_scaling(args) -> None:
+    from . import topology
+
     model, _, params = _resolve_model(args, _read_config(args))
     n_list = [int(s) for s in args.Ns.split(",") if s]
     report = topology.bulk_edge_report(model, params, n_list, eps_dark=args.eps_dark)
@@ -202,6 +225,8 @@ def cmd_scaling(args) -> None:
 
 
 def cmd_disorder(args) -> None:
+    from . import disorder
+
     model, n, params = _resolve_model(args, _read_config(args))
     mask = None
     if args.site_mask is not None:
@@ -308,7 +333,7 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     except (SpecificationError, PhaseBoundaryError, ValueError, KeyError,
-            OSError, json.JSONDecodeError, MemoryError) as exc:
+            OSError, MemoryError) as exc:
         # MemoryError: a request larger than this machine, such as a table of
         # 10^9 realizations; numpy's message names the size it could not allocate
         print(f"nhtop: configuration error: {exc}", file=sys.stderr)

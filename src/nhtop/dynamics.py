@@ -108,8 +108,12 @@ def _trace_faults(t: np.ndarray, v: np.ndarray):
 def log_time_grid(t_max: float, n_points: int = 400) -> np.ndarray:
     """Default grid: log-spaced from ``LOG_GRID_START`` to t_max, spanning
     relaxation to protection timescales."""
+    if not math.isfinite(t_max):
+        raise ValueError(f"t_max must be finite; got {t_max}")
     if t_max <= LOG_GRID_START:
         raise ValueError(f"t_max must exceed {LOG_GRID_START}")
+    if n_points < 1:
+        raise ValueError(f"n_points must be at least 1; got {n_points}")
     return np.geomspace(LOG_GRID_START, t_max, n_points)
 
 

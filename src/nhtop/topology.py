@@ -27,8 +27,8 @@ import numpy as np
 
 from .errors import GapClosureError, PhaseBoundaryError, ResolutionError, SpecificationError
 from . import netmodel
-from .spectral import (_fit_log_linear, decompose, default_eps_dark, find_quasi_dark_modes,
-                       is_localized_at_qubit)
+from .spectral import (_EPS, _fit_log_linear, decompose, default_eps_dark,
+                       find_quasi_dark_modes, is_localized_at_qubit)
 
 MAX_KPOINTS = 1 << 17
 _BOUNDARY_TOL = 1e-12
@@ -53,9 +53,13 @@ class BlochHamiltonian:
     def __post_init__(self):
         if self.cell_size not in (2, 3):
             raise SpecificationError("only 2- and 3-site unit cells are supported")
-        m0, m2pi = self(np.array([0.0, 2 * math.pi]))
+        h = 1e-6  # the central difference at k = 0 that estimates |dH/dk|
+        m0, m2pi, m_minus, m_plus = self(np.array([0.0, 2 * math.pi, -h, h]))
         scale = max(1.0, float(np.max(np.abs(m0))))
-        if np.max(np.abs(m0 - m2pi)) > 1e-14 * scale:
+        slope = float(np.max(np.abs(m_plus - m_minus))) / (2 * h)
+        # rounding 2*pi, and m k in a harmonic e^{imk}, moves the argument by
+        # up to about eps 2 pi |m|: allow twice that, times |dH/dk|
+        if np.max(np.abs(m0 - m2pi)) > 1e-14 * scale + 4 * math.pi * _EPS * slope:
             raise SpecificationError("Bloch matrix must be 2*pi periodic")
         diag_im = np.imag(np.diag(m0))
         if np.count_nonzero(diag_im < 0) != 1 or np.any(diag_im > 1e-14 * scale):

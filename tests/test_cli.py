@@ -1,4 +1,5 @@
 import ast
+import importlib
 import io
 import json
 import math
@@ -457,3 +458,95 @@ def test_only_the_cli_writes():
                     isinstance(f, ast.Attribute) and f.attr == "write"):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+def _fresh_python(*argv):
+    """``python *argv`` in a new interpreter on this source tree."""
+    src = str(Path(nhtop.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=120)
+
+
+def test_import_nhtop_loads_no_submodule_and_no_numpy():
+    loaded = _fresh_python("-c", "import sys, nhtop; print(*sorted(sys.modules))").stdout.split()
+    assert "nhtop" in loaded
+    assert [m for m in loaded if m.startswith("nhtop.")] == []
+    assert "numpy" not in loaded
+
+
+_LOADS = """
+import contextlib, io, sys
+from nhtop.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(sys.argv[1:]) == 0
+print(*sorted(m[6:] for m in sys.modules if m.startswith("nhtop.") and m != "nhtop.cli"))
+"""
+
+
+@pytest.mark.parametrize("argv, modules", [
+    (["model", "--model", "three-site", "--N", "8"], ""),
+    (["spectrum", "--model", "ssh", "--N", "3"], "spectral"),
+    (["coherence", "--model", "impurity", "--N", "4", "--t-max", "60"], "dynamics spectral"),
+    (["winding", "--model", "three-site", "--J3", "2"], "spectral topology"),
+    (["table1", "--N-list", "6,8"], "analytics spectral"),
+    (["scaling", "--model", "ssh"], "spectral topology"),
+    (["disorder", "--model", "ssh", "--N", "7", "--n-realizations", "10"],
+     "disorder dynamics spectral"),
+], ids=lambda v: v[0] if isinstance(v, list) else None)
+def test_each_command_loads_only_its_modules(argv, modules):
+    # the README commands, at sizes that do not change what they import
+    proc = _fresh_python("-c", _LOADS, *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == sorted(["errors", "netmodel", *modules.split()])
+
+
+def test_exported_names_are_their_submodules_objects(monkeypatch):
+    assert len(nhtop._EXPORTS) == 57
+    for name, module in nhtop._EXPORTS.items():
+        assert getattr(nhtop, name) is getattr(importlib.import_module(f"nhtop.{module}"), name)
+    # resolved at every access, so a patch on the submodule shows through
+    monkeypatch.setattr(nhtop.spectral, "decompose", _out_of_memory)
+    assert nhtop.decompose is _out_of_memory
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        nhtop.no_such_name
+    with pytest.raises(ImportError):
+        from nhtop import no_such_name  # noqa: F401
+
+
+def test_dir_and_star_import_cover_the_exports():
+    submodules = {"errors", "netmodel", "spectral", "dynamics", "topology", "analytics",
+                  "disorder"}
+    assert set(nhtop.__all__) == set(nhtop._EXPORTS) | submodules
+    assert set(nhtop.__all__) <= set(dir(nhtop))
+    namespace = {}
+    exec("from nhtop import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(nhtop.__all__)
+    assert namespace["decompose"] is nhtop.spectral.decompose
+    assert namespace["topology"] is nhtop.topology
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["coherence", "--t-points", "0"], "--t-points must be at least 1; got 0"),
+    (["coherence", "--no-log-time", "--t-points", "0"], "--t-points must be at least 1; got 0"),
+    (["disorder", "--n-realizations", "4", "--t-points", "0"],
+     "--t-points must be at least 1; got 0"),
+    (["table1", "--N-list", ","], "--N-list names no system size; got ','"),
+], ids=["coherence-log", "coherence-linear", "disorder", "table1"])
+def test_empty_table_exits_two(capsys, argv, message):
+    # each printed a header over no rows and exited 0
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"nhtop: configuration error: {message}\n"
+
+
+@pytest.mark.parametrize("grid", [[], ["--no-log-time"]], ids=["log", "linear"])
+def test_non_finite_t_max_is_one_configuration_line(grid):
+    # geomspace and linspace warned "invalid value encountered in multiply" first
+    proc = _fresh_python("-m", "nhtop.cli", "coherence", "--t-max", "inf", *grid)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "nhtop: configuration error: --t-max must be finite; got inf\n"

@@ -365,6 +365,18 @@ def test_log_time_grid():
         dynamics.log_time_grid(1e-3)
 
 
+@pytest.mark.parametrize("t_max, n_points, message", [
+    (np.inf, 400, "t_max must be finite; got inf"),
+    (np.nan, 400, "t_max must be finite; got nan"),
+    (100.0, 0, "n_points must be at least 1; got 0"),
+])
+def test_log_time_grid_rejects_before_numpy(t_max, n_points, message):
+    # geomspace warned on a non-finite end (an error under this suite's
+    # filterwarnings) and returned an empty grid for no points
+    with pytest.raises(ValueError, match=message):
+        dynamics.log_time_grid(t_max, n_points)
+
+
 def test_write_trace_csv(tmp_path):
     out = tmp_path / "trace.csv"
     assert main(["coherence", "--model", "ssh", "--N", "3", "--J1", "1", "--J2", "1.8",

@@ -82,6 +82,15 @@ class TestCustomEvaluator:
         with pytest.raises(SpecificationError, match="2\\*pi periodic"):
             topology.BlochHamiltonian(2, lambda k: self._ssh_cell(k, shift=0.5))
 
+    def test_off_by_1e_9_at_two_pi_is_not_periodic(self):
+        def cell(k):
+            m = self._ssh_cell(k)
+            m[..., 0, 1] += 1e-9 * (k == 2 * np.pi)
+            return m
+
+        with pytest.raises(SpecificationError, match="2\\*pi periodic"):
+            topology.BlochHamiltonian(2, cell)
+
     def test_wrongly_shaped(self):
         # a per-k evaluator returns one matrix for the whole grid
         with pytest.raises(SpecificationError, match="wrongly shaped"):
@@ -216,6 +225,13 @@ class TestNumericWinding:
         base = topology.bloch_three_site(1.0, 0.3, 2.0, 0.7, 0.0, 0.0, 0.5)
         assert topology.winding_number_numeric(self._relabeled(base, m)).W == w
 
+    def test_every_relabeling_harmonic_is_periodic(self):
+        # rounding m * 2 pi in e^{imk} leaves H(2 pi) - H(0) near eps 2 pi |dH/dk|,
+        # which a fixed 1e-14 rejected at |m| = 15, 19, 22, ...
+        base = topology.bloch_three_site(1.0, 0.3, 2.0, 0.7, 0.0, 0.0, 0.5)
+        for m in range(-40, 41):
+            self._relabeled(base, m)
+
     def test_one_evaluator_call_per_grid_level(self):
         # W = 22 needs steps of 2 pi 22 / 64 > pi/2, so the grid doubles once
         base = topology.bloch_three_site(1.0, 0.3, 2.0, 0.7, 0.0, 0.0, 0.5)
@@ -223,10 +239,10 @@ class TestNumericWinding:
         shapes = []
         counted = topology.BlochHamiltonian(
             3, lambda k: shapes.append(k.shape) or gauged.evaluator(k))
-        assert shapes == [(2,)]                        # the periodicity and loss checks
+        assert shapes == [(4,)]                        # the periodicity and loss checks
         res = topology.winding_number_numeric(counted, 64)
         assert (res.W, res.k_points) == (22, 128)
-        assert shapes == [(2,), (64,), (128,)]
+        assert shapes == [(4,), (64,), (128,)]
 
     @pytest.mark.parametrize("params", [
         # J1 = 0, eps1 = eps2: a degenerate non-lossy block at every k
